@@ -157,6 +157,27 @@ def dataset_key(data: AppData) -> tuple:
     return token
 
 
+def attach_functional_memo(data: AppData) -> AppData:
+    """Give a pooled dataset instance a functional-output memo.
+
+    Every engine computes the same functional output and differs only in
+    how it moves data, so an instance that serves many (engine, config)
+    runs needs the kernel evaluated once. The memo lives in
+    ``data.meta["_functional_memo"]`` (``meta`` is not part of
+    :func:`dataset_key`) and maps a chunk plan to the output
+    :meth:`repro.engines.base.Engine._functional_output` computed for it;
+    apps declaring ``output_chunk_invariant`` keep one entry under ``None``.
+
+    Only the dataset pools attach it (``repro.serve.Server`` and the
+    worker pool of ``repro.bench.jobs``), so the memo lives exactly as long
+    as the pool entry. Freshly generated instances carry none, which keeps
+    every oracle (``oneshot_oracle``, ``repro.verify``, ``cpu_serial``) an
+    independent recomputation.
+    """
+    data.meta.setdefault("_functional_memo", {})
+    return data
+
+
 @dataclass(frozen=True)
 class AccessProfile:
     """Static per-record access characterization of an app's kernel.
@@ -275,6 +296,13 @@ class Application(abc.ABC):
     #: is the documented behaviour — ``verify --compiled`` asserts the
     #: verdict matches this expectation either way
     compiled_expected: bool = True
+    #: the functional output is bit-identical for every chunking
+    #: ``chunk_bounds`` can produce (integer or elementwise kernels): a
+    #: dataset's functional-output memo then keeps one output instead of one
+    #: per chunk plan (see :func:`attach_functional_memo`).
+    #: ``tests/test_functional_memo.py`` pins every True declaration against
+    #: ``reference`` over several seeds and chunk sizes
+    output_chunk_invariant: bool = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

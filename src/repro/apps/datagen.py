@@ -59,8 +59,13 @@ def make_text(
     out = np.frombuffer(pieces, dtype=np.uint8)
     if out.size > n_bytes:
         # trim at the last separator before the limit
-        cut = int(np.nonzero(out[:n_bytes] == sep)[0][-1]) + 1
-        out = out[:cut]
+        seps = np.nonzero(out[:n_bytes] == sep)[0]
+        if seps.size == 0:
+            raise ApplicationError(
+                f"text size {n_bytes} is too small to hold one word and "
+                f"its separator"
+            )
+        out = out[: int(seps[-1]) + 1]
     return np.ascontiguousarray(out)
 
 

@@ -58,6 +58,8 @@ class DnaAssemblyApp(Application):
     display_name = "DNA Assembly"
     paper_data_bytes = int(4.5 * GB)
     writes_mapped = False
+    #: integer k-mer counts
+    output_chunk_invariant = True
 
     def __init__(self, genome_fraction: float = 0.01):
         #: fragments are drawn from a small underlying genome so that many

@@ -48,6 +48,8 @@ class KMeansApp(Application):
     display_name = "K-means"
     paper_data_bytes = int(6.0 * GB)
     writes_mapped = True
+    #: per-particle argmin: elementwise, whatever the chunking
+    output_chunk_invariant = True
 
     def __init__(self, n_clusters: int = 32):
         self.n_clusters = n_clusters

@@ -112,6 +112,8 @@ class _MastercardBase(Application):
 
     writes_mapped = False
     n_passes = 2
+    #: a boolean customer set, then integer merchant counts
+    output_chunk_invariant = True
 
     def make_state(self, data: AppData) -> Any:
         return {

@@ -51,6 +51,8 @@ class OpinionFinderApp(Application):
     display_name = "Opinion Finder"
     paper_data_bytes = int(6.2 * GB)
     writes_mapped = False
+    #: integer score sum
+    output_chunk_invariant = True
 
     def __init__(self, subject_words: int = 64, dict_frac: float = 0.08):
         self.subject_words = subject_words

@@ -89,6 +89,8 @@ class WordCountApp(Application):
     #: the running hash/length (h, n) are loop-carried across records, so
     #: the vectorized backend rejects this kernel by design
     compiled_expected = False
+    #: integer counts over separator-aligned chunks
+    output_chunk_invariant = True
 
     # ------------------------------------------------------------- data
     def generate(self, n_bytes: Optional[int] = None, seed: int = 0) -> AppData:

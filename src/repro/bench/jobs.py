@@ -26,7 +26,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.base import APP_REGISTRY, AppData, Application, get_app
+from repro.apps.base import (
+    APP_REGISTRY,
+    AppData,
+    Application,
+    attach_functional_memo,
+    get_app,
+)
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
 
@@ -160,7 +166,9 @@ def engine_from_spec(spec: EngineSpec) -> Engine:
 
 
 #: per-worker dataset cache: spec -> (app, data). A sweep fans one dataset
-#: across many configs, so one regeneration serves a worker's whole share.
+#: across many configs, so one regeneration serves a worker's whole share;
+#: each instance carries a functional-output memo, so its kernel runs once
+#: for all of them.
 _WORKER_DATASETS: OrderedDict = OrderedDict()
 _WORKER_DATASETS_MAX = 4
 
@@ -183,7 +191,9 @@ def materialize_dataset(spec: DatasetSpec) -> tuple[Application, AppData]:
             f"{spec.version}, worker has {DATAGEN_VERSION}"
         )
     app = get_app(spec.app)
-    data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+    data = attach_functional_memo(
+        app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+    )
     _WORKER_DATASETS[spec] = (app, data)
     while len(_WORKER_DATASETS) > _WORKER_DATASETS_MAX:
         _WORKER_DATASETS.popitem(last=False)

@@ -164,10 +164,11 @@ class Engine(abc.ABC):
         into one pass over the engine; this hook is where an engine may
         amortize work across the batch. The default is the trivially
         correct sequential loop — per-result semantics identical to
-        calling :meth:`run` once per config. Engines with shareable state
-        (BigKernel shares functional outputs across configs with equal
-        chunk bounds) override it; every override must keep each result
-        bit-equal to the corresponding one-shot :meth:`run`.
+        calling :meth:`run` once per config. The functional output needs no
+        batch-level sharing: a pooled dataset's functional-output memo
+        (:meth:`_functional_output`) already serves every engine and
+        config. An override must keep each result bit-equal to the
+        corresponding one-shot :meth:`run`.
         """
         return [self.run(app, data, cfg) for cfg in configs]
 
@@ -177,13 +178,26 @@ class Engine(abc.ABC):
         app: Application, data: AppData, bounds: list[tuple[int, int]]
     ) -> Any:
         """Run the app's chunked kernel over all passes (the semantics every
-        scheme shares; schemes differ only in data movement)."""
+        scheme shares; schemes differ only in data movement).
+
+        A dataset carrying a functional-output memo
+        (:func:`repro.apps.base.attach_functional_memo`) evaluates the
+        kernel once per chunk plan, or once in all for apps declaring
+        ``output_chunk_invariant``; every later run of any engine returns
+        the memoized output object itself."""
+        memo = data.meta.get("_functional_memo")
+        key = None if app.output_chunk_invariant else tuple(bounds)
+        if memo is not None and key in memo:
+            return memo[key]
         state = app.make_state(data)
         for p in range(app.n_passes):
             app.start_pass(data, state, p)
             for lo, hi in bounds:
                 app.process_chunk(data, state, lo, hi)
-        return app.finalize(data, state)
+        output = app.finalize(data, state)
+        if memo is not None:
+            memo[key] = output
+        return output
 
     @staticmethod
     def totals(app: Application, data: AppData, profile: AccessProfile) -> dict:

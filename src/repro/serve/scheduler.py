@@ -58,7 +58,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps.base import AppData, Application, get_app
+from repro.apps.base import AppData, Application, attach_functional_memo, get_app
 from repro.bench.jobs import (
     DatasetSpec,
     EngineSpec,
@@ -546,7 +546,9 @@ class Server:
 
         Sharing one live ``AppData`` instance across requests is what lets
         the engine-side memos (schedule, fastpath template, dataset hash)
-        hit: they all key on the instance fingerprint."""
+        hit: they all key on the instance fingerprint. The instance also
+        carries a functional-output memo, so the kernel runs once per
+        pooled dataset for every engine and config."""
         cached = self._datasets.get(spec)
         if cached is not None:
             self._datasets.move_to_end(spec)
@@ -559,7 +561,9 @@ class Server:
                 f"{spec.version}, server has {DATAGEN_VERSION}"
             )
         app = get_app(spec.app)
-        data = app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+        data = attach_functional_memo(
+            app.generate(n_bytes=spec.n_bytes, seed=spec.seed)
+        )
         self._datasets[spec] = (app, data)
         while len(self._datasets) > self.config.dataset_pool:
             self._datasets.popitem(last=False)

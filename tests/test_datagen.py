@@ -1,9 +1,18 @@
 """Tests for the synthetic data generators + interpreter guard rails."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.apps.datagen import dna_bases, make_text, make_vocabulary, zipf_indices
+from repro.apps.datagen import (
+    DATAGEN_VERSION,
+    dna_bases,
+    make_text,
+    make_vocabulary,
+    zipf_indices,
+)
+from repro.apps.wordcount import WordCountApp
 from repro.errors import ApplicationError, CompilerError
 
 
@@ -61,6 +70,29 @@ class TestText:
     def test_tiny_request_rejected(self):
         with pytest.raises(ApplicationError):
             make_text(np.random.default_rng(0), 2)
+
+    @pytest.mark.parametrize("n_bytes", range(4, 10))
+    def test_request_below_one_word_is_typed(self, n_bytes):
+        # the first word does not fit: no separator to trim at
+        with pytest.raises(ApplicationError, match="too small"):
+            WordCountApp().generate(n_bytes=n_bytes, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_bytes, seed, size, digest",
+        [
+            (12, 0, 12, "49adf805b255d562dc7b86ae8b736d4e926505967e050ecb5c2f727691df8b68"),
+            (64, 1, 52, "a4689fde2c9977790fcdf3043a16c0187a836c8a484c8a569c8cd5f9a2aa54c3"),
+            (4096, 2, 4087, "5ee2b38592640b8a6016d4bedb44a920efd223ca9fca37454b276d8a2755984e"),
+            (65536, 3, 65524, "b5966113c425bee7cda4ad5cace01037abec6a3c5f7d8e633fe4dc8eddd25f8a"),
+        ],
+    )
+    def test_wordcount_bytes_pinned(self, n_bytes, seed, size, digest):
+        # DATAGEN_VERSION names these bytes in every persistent cache key:
+        # a change here must bump it
+        assert DATAGEN_VERSION == 1
+        text = WordCountApp().generate(n_bytes=n_bytes, seed=seed).mapped["text"]
+        assert text.size == size
+        assert hashlib.sha256(text.tobytes()).hexdigest() == digest
 
 
 class TestDnaBases:

@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from repro.apps.base import DATASET_HASH_STATS, dataset_key, get_app
+from repro.apps.base import (
+    DATASET_HASH_STATS,
+    attach_functional_memo,
+    dataset_key,
+    get_app,
+)
 from repro.bench.jobs import DatasetSpec, JobSpec
 from repro.bench.sweep import CONTENT_KEY_STATS, RunCache, content_run_key
 from repro.cli import main
@@ -188,23 +193,23 @@ def test_served_results_bit_equal_one_shot(tmp_path):
 # -------------------------------------------------------- batch engine hook
 def test_run_batch_shares_functional_output_bit_exactly():
     app = get_app("wordcount")
-    data = app.generate(n_bytes=256 * KiB, seed=3)
+    data = attach_functional_memo(app.generate(n_bytes=256 * KiB, seed=3))
     engine = BigKernelEngine()
-    # same chunk geometry, different ring depth: equal chunk bounds, so the
-    # functional output may be shared; timelines must still differ per run
+    # different chunk geometry and ring depth: wordcount's output is
+    # chunk-invariant, so every run after the first is a memo hit, while
+    # the timelines must still differ per config
     cfgs = [
         EngineConfig(chunk_bytes=64 * KiB, ring_depth=2),
         EngineConfig(chunk_bytes=64 * KiB, ring_depth=3),
-        EngineConfig(chunk_bytes=64 * KiB, ring_depth=2),
+        EngineConfig(chunk_bytes=32 * KiB, ring_depth=2),
     ]
     batch = engine.run_batch(app, data, cfgs)
-    solo = [BigKernelEngine().run(app, data, cfg) for cfg in cfgs]
-    for got, want in zip(batch, solo):
+    assert all(r.output is batch[0].output for r in batch[1:])
+    for got, cfg in zip(batch, cfgs):
+        fresh = app.generate(n_bytes=256 * KiB, seed=3)
+        want = BigKernelEngine().run(app, fresh, cfg)
         assert got.sim_time == want.sim_time
         assert app.outputs_equal(got.output, want.output)
-    assert any(
-        r.metrics.notes.get("batch_shared_output") for r in batch[1:]
-    )
 
 
 # ------------------------------------------------- amortization accounting
