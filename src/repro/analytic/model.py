@@ -12,9 +12,10 @@ pattern fraction per (thread count, chunk geometry), while the model
 samples it once at a reference geometry and treats it as
 geometry-independent.  For the bundled apps the recognizer's verdict is a
 property of the app's address stream, not of where chunk boundaries fall,
-so the approximation is exact in practice; ``verify --analytic`` fuzzes
-geometry precisely to keep that claim honest (the scalar
-``predict_run`` path re-samples exactly, via the engine's own schedule).
+so the approximation is exact in practice;
+``tests/test_analytic.py::TestPredictGrid`` keeps that claim honest by
+comparing every grid point with the scalar ``predict_run`` path, which
+re-samples exactly via the engine's own schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from typing import Optional
 
 from repro.apps.base import AppData, Application, dataset_key
 from repro.engines.base import EngineConfig
-from repro.engines.bigkernel import BigKernelEngine, BigKernelFeatures
+from repro.engines.bigkernel import (
+    BigKernelEngine,
+    BigKernelFeatures,
+    payload_per_unit,
+)
 from repro.engines.gpu_common import chunk_plan
 
 #: process-wide accounting of :func:`extract_app_model` memoization, the
@@ -82,13 +87,6 @@ class AppModel:
         """Does the modelled bigkernel run ship sliced payloads?"""
         return self.feature_reduce_volume and self.sliceable
 
-    @property
-    def payload_per_unit(self) -> float:
-        """Bytes per unit crossing PCIe h2d under the modelled features."""
-        return (
-            self.read_bytes_per_record if self.reduce_volume else self.record_bytes
-        )
-
 
 def extract_app_model(
     app: Application,
@@ -125,7 +123,7 @@ def extract_app_model(
     engine = BigKernelEngine(features)
     sliceable = engine._sliceable(app, profile)
     reduce_volume = features.reduce_volume and sliceable
-    payload = profile.read_bytes_per_record if reduce_volume else profile.record_bytes
+    payload = payload_per_unit(profile, reduce_volume)
     fraction = 0.0
     if config.pattern_recognition and profile.pattern_friendly is not None:
         upc, _ = chunk_plan(units, config.chunk_bytes, payload)

@@ -19,23 +19,24 @@ per-chunk closed form (see ``docs/performance.md``).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Any, Dict, NamedTuple, Optional, Union
 
 from repro.apps.base import AppData, Application
 from repro.engines.base import Engine, EngineConfig
 from repro.engines.bigkernel import BigKernelEngine
 from repro.engines.cpu_mt import CpuMtEngine
 from repro.engines.cpu_serial import CpuSerialEngine
-from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
+from repro.engines.gpu_common import chunk_plan
+from repro.engines.gpu_double import PIPELINE as GPU_DOUBLE_PIPELINE
 from repro.engines.gpu_double import GpuDoubleBufferEngine
-from repro.engines.gpu_single import GpuSingleBufferEngine
+from repro.engines.gpu_single import GpuSingleBufferEngine, serial_totals
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError
-from repro.hw.cpu import CpuDevice
-from repro.hw.gpu import GpuDevice
+from repro.hw.elementwise import maximum, where
 from repro.runtime.fastpath import FLAG_BYTES, TemplatedChunks
 from repro.runtime.pipeline import ChunkWork, PipelineConfig
 
@@ -122,9 +123,12 @@ def resolve_engine(engine: Union[str, Engine]) -> Engine:
 
 
 def chunk_durations(k: ChunkWork, pcie, sync: float) -> Dict[str, float]:
-    """Per-stage durations of one chunk kind, as the DES would price them."""
-    d_addr = (
-        pcie.transfer_time(k.addr_bytes_d2h, pinned=True) if k.addr_bytes_d2h > 0 else 0.0
+    """Per-stage durations of one chunk kind, as the DES would price them.
+
+    The predictor's one mapping from chunk costs to stage durations; the
+    fields of ``k`` may be arrays (one chunk kind per sweep point)."""
+    d_addr = where(
+        k.addr_bytes_d2h > 0, pcie.transfer_time(k.addr_bytes_d2h, pinned=True), 0.0
     )
     return dict(
         A=k.t_addr_gen + d_addr,
@@ -132,13 +136,85 @@ def chunk_durations(k: ChunkWork, pcie, sync: float) -> Dict[str, float]:
         X=pcie.transfer_time(k.xfer_bytes, pinned=True, segments=k.xfer_segments)
         + pcie.transfer_time(FLAG_BYTES, pinned=True),
         C=k.t_compute + sync,
-        WB=(
-            pcie.transfer_time(k.write_bytes, pinned=True, segments=k.xfer_segments)
-            if k.write_bytes > 0
-            else 0.0
+        WB=where(
+            k.write_bytes > 0,
+            pcie.transfer_time(k.write_bytes, pinned=True, segments=k.xfer_segments),
+            0.0,
         ),
         SC=k.t_scatter,
         d_addr=d_addr,
+    )
+
+
+class KindPlan(NamedTuple):
+    """A template(+tail) pipeline schedule in closed-form terms.
+
+    Built from an engine's resolved schedule (:func:`plan_of`) the fields
+    are scalars; ``predict_grid`` builds one with an element per sweep
+    point. Each pass is ``n_template`` template chunks plus, where
+    ``has_tail``, one ``tail`` chunk; without a tail, ``tail`` prices the
+    same as ``template``.
+    """
+
+    template: ChunkWork
+    tail: ChunkWork
+    n_template: Any
+    has_tail: Any
+    passes: int
+    depth: Any
+    cpu_workers: int
+    sync: float
+
+
+def plan_of(chunks: TemplatedChunks, pipe_cfg: PipelineConfig) -> KindPlan:
+    """The closed-form view of an engine's chunk sequence and pipeline."""
+    tail = chunks.tail
+    return KindPlan(
+        template=chunks.template,
+        tail=chunks.template if tail is None else tail,
+        n_template=chunks.n_full,
+        has_tail=tail is not None,
+        passes=chunks.passes,
+        depth=pipe_cfg.ring_depth,
+        cpu_workers=pipe_cfg.cpu_workers,
+        sync=pipe_cfg.sync_overhead,
+    )
+
+
+def plan_bounds(pcie, plan: KindPlan, x_scale: int = 1):
+    """Close ``plan``'s bounded-ring recurrence.
+
+    Returns ``(total, bounds, occupancy, t, u)`` with ``t``/``u`` the
+    template/tail stage durations. ``x_scale`` stretches the H2D data
+    transfer: K shards on one root-complex port are each served once
+    every K slots.
+    """
+    t = chunk_durations(plan.template, pcie, plan.sync)
+    u = t
+    if plan.tail is not plan.template:
+        u = chunk_durations(plan.tail, pcie, plan.sync)
+    if x_scale != 1:
+        t = dict(t, X=x_scale * t["X"])
+        u = dict(u, X=x_scale * u["X"])
+    per_pass = plan.n_template + plan.has_tail
+    total, bounds, occ = pipeline_bounds(
+        t,
+        u,
+        n=plan.passes * per_pass,
+        n_tail=plan.passes * plan.has_tail,
+        depth=plan.depth,
+        per_pass=per_pass,
+        passes=plan.passes,
+        cpu_workers=plan.cpu_workers,
+    )
+    return total, bounds, occ, t, u
+
+
+def _as_floats(total, bounds, occ):
+    return (
+        float(total),
+        {name: float(v) for name, v in bounds.items()},
+        {STAGE_NAMES[s]: float(occ[s]) for s in STAGES6},
     )
 
 
@@ -147,27 +223,7 @@ def predict_templated(hw, chunks: TemplatedChunks, pipe_cfg: PipelineConfig):
 
     Returns ``(total, bounds, occupancy)`` with plain-float values.
     """
-    pcie = hw.pcie
-    t = chunk_durations(chunks.template, pcie, pipe_cfg.sync_overhead)
-    u = (
-        chunk_durations(chunks.tail, pcie, pipe_cfg.sync_overhead)
-        if chunks.tail is not None
-        else t
-    )
-    n_tail = chunks.passes if chunks.tail is not None else 0
-    total, bounds, occ = pipeline_bounds(
-        t,
-        u,
-        n=len(chunks),
-        n_tail=n_tail,
-        depth=pipe_cfg.ring_depth,
-        per_pass=chunks.per_pass,
-        passes=chunks.passes,
-        cpu_workers=pipe_cfg.cpu_workers,
-    )
-    bounds = {name: float(v) for name, v in bounds.items()}
-    occupancy = {STAGE_NAMES[s]: float(occ[s]) for s in STAGES6}
-    return float(total), bounds, occupancy
+    return _as_floats(*plan_bounds(hw.pcie, plan_of(chunks, pipe_cfg))[:3])
 
 
 def _finish_pipelined(name, app_name, total, bounds, occupancy, n_chunks):
@@ -193,54 +249,43 @@ def _finish_pipelined(name, app_name, total, bounds, occupancy, n_chunks):
     )
 
 
-def _link_legs(chunks: TemplatedChunks, pcie, sync: float):
-    """One shard's total busy time on each PCIe direction.
+def sharded_bounds(pcie, plans, shared_link: bool):
+    """Close K shard pipelines that run side by side.
 
-    Returns ``(h2d, d2h)``: the data+flag H2D traffic and the address-ship
-    plus write-back D2H traffic, summed over template and tail chunks —
-    exactly the residency a shard imposes on a shared root-complex port.
-    """
-    t = chunk_durations(chunks.template, pcie, sync)
-    u = chunk_durations(chunks.tail, pcie, sync) if chunks.tail is not None else t
-    n_tail = chunks.passes if chunks.tail is not None else 0
-    n_main = len(chunks) - n_tail
-    h2d = n_main * t["X"] + n_tail * u["X"]
-    d2h = n_main * (t["d_addr"] + t["WB"]) + n_tail * (u["d_addr"] + u["WB"])
-    return h2d, d2h
+    Returns ``(total, per_shard, port)``: the pipeline total (kernel
+    launch and merge not included), each shard's :func:`plan_bounds`, and
+    the shared-port bounds (none for dedicated links or one shard).
 
-
-def _scaled_shared_total(hw, chunks: TemplatedChunks, pipe_cfg: PipelineConfig, k: int):
-    """One shard's closed form under round-robin service on a shared port.
-
+    Dedicated links: shards share nothing in the DES, so the slowest
+    shard's closed form *is* the pipeline total (exact, as for single-GPU
+    bigkernel). A shared root-complex port adds two contention estimates.
     K symmetric shards start together, so their H2D requests interleave
-    in near-lockstep on the root-complex FIFO: a shard's data transfer is
-    served once every K slots, i.e. with effective duration ``K * X``.
-    Closing the ring recurrence with that service time captures both the
-    latency throttling of compute-bound shards (the ring stalls waiting
-    for slow transfers) and — via the X-occupancy bound — the port's
-    total H2D residency.
+    in near-lockstep on the root-complex FIFO: each shard's ring is closed
+    again with K-scaled transfer service, which captures both the latency
+    throttling of compute-bound shards and the port's total H2D
+    residency. And the address ships + write-backs of *all* shards
+    serialize on the one D2H channel, after chunk 0's address generation.
     """
-    pcie = hw.pcie
-    t = chunk_durations(chunks.template, pcie, pipe_cfg.sync_overhead)
-    t["X"] *= k
-    if chunks.tail is not None:
-        u = chunk_durations(chunks.tail, pcie, pipe_cfg.sync_overhead)
-        u["X"] *= k
-        n_tail = chunks.passes
-    else:
-        u = t
-        n_tail = 0
-    total, _bounds, _occ = pipeline_bounds(
-        t,
-        u,
-        n=len(chunks),
-        n_tail=n_tail,
-        depth=pipe_cfg.ring_depth,
-        per_pass=chunks.per_pass,
-        passes=chunks.passes,
-        cpu_workers=pipe_cfg.cpu_workers,
-    )
-    return float(total)
+    per_shard = [plan_bounds(pcie, plan) for plan in plans]
+    total = functools.reduce(maximum, [res[0] for res in per_shard])
+    port: Dict[str, Any] = {}
+    k = len(plans)
+    if shared_link and k > 1:
+        port["shared_port_h2d"] = functools.reduce(
+            maximum, [plan_bounds(pcie, plan, x_scale=k)[0] for plan in plans]
+        )
+        d2h = sum(
+            plan.passes * plan.n_template * (t["d_addr"] + t["WB"])
+            + plan.passes * plan.has_tail * (u["d_addr"] + u["WB"])
+            for plan, (_, _, _, t, u) in zip(plans, per_shard)
+        )
+        t0 = per_shard[0][3]
+        port["shared_port_d2h"] = where(
+            d2h > 0, (t0["A"] - t0["d_addr"]) + d2h, float("-inf")
+        )
+        for bound in port.values():
+            total = maximum(total, bound)
+    return total, per_shard, port
 
 
 def _predict_multigpu(
@@ -249,93 +294,32 @@ def _predict_multigpu(
     config: EngineConfig,
     eng: MultiGpuBigKernelEngine,
 ) -> PredictedRun:
-    """Price a sharded run: per-shard pipeline bounds + fabric bounds.
-
-    Dedicated links: shards share nothing in the DES, so the slowest
-    shard's closed form *is* the pipeline total (exact, as for single-GPU
-    bigkernel). A shared root-complex port adds two contention estimates:
-    each shard's ring closed with K-scaled transfer service
-    (:func:`_scaled_shared_total`) and a D2H-channel residency bound
-    (address ships + write-backs of *all* shards serialize on the one
-    D2H port). The kernel-launch overhead and the closed-form merge cost
-    (identical to the engine's ``_merge_time``) are added on top.
-    """
+    """Price a sharded run: :func:`sharded_bounds` over the engine's own
+    shard schedules, plus the kernel-launch overhead and the closed-form
+    merge cost (the engine's ``_merge_time``)."""
     hw = config.hardware
     plans, _ = eng._shard_plan(app, data, config)
-    per_shard = []
-    for g, _su, sched in plans:
-        total_g, bounds_g, occ_g = predict_templated(hw, sched.chunks, sched.pipe_cfg)
-        per_shard.append((g, total_g, bounds_g, occ_g, sched))
-
-    slowest = max(per_shard, key=lambda p: p[1])
-    total = slowest[1]
-    bounds = {f"shard{slowest[0]}:{k}": v for k, v in slowest[2].items()}
+    total, per_shard, port = sharded_bounds(
+        hw.pcie,
+        [plan_of(sched.chunks, sched.pipe_cfg) for _g, _su, sched in plans],
+        eng.shared_link,
+    )
+    shards = [_as_floats(*res[:3]) for res in per_shard]
+    slowest = max(range(len(shards)), key=lambda i: shards[i][0])
+    bounds = {
+        f"shard{plans[slowest][0]}:{name}": v
+        for name, v in shards[slowest][1].items()
+    }
+    bounds.update((name, float(v)) for name, v in port.items())
     occupancy: Dict[str, float] = {}
-    for _g, _t, _b, occ_g, _s in per_shard:
+    for _t, _b, occ_g in shards:
         for k, v in occ_g.items():
             occupancy[k] = occupancy.get(k, 0.0) + v
 
-    n_shards = len(per_shard)
-    if eng.shared_link and n_shards > 1:
-        pcie = hw.pcie
-        shared_h2d = max(
-            _scaled_shared_total(hw, sched.chunks, sched.pipe_cfg, n_shards)
-            for _g, _t, _b, _o, sched in per_shard
-        )
-        bounds["shared_port_h2d"] = shared_h2d
-        total = max(total, shared_h2d)
-        d2h_sum = sum(
-            _link_legs(sched.chunks, pcie, sched.pipe_cfg.sync_overhead)[1]
-            for _g, _t, _b, _o, sched in per_shard
-        )
-        if d2h_sum > 0.0:
-            # fill: the first address ship waits for chunk 0's addr-gen
-            sched0 = per_shard[0][4]
-            t0 = chunk_durations(
-                sched0.chunks.template, pcie, sched0.pipe_cfg.sync_overhead
-            )
-            shared_d2h = (t0["A"] - t0["d_addr"]) + d2h_sum
-            bounds["shared_port_d2h"] = shared_d2h
-            total = max(total, shared_d2h)
-
-    total += hw.gpu.kernel_launch_overhead
-    total += eng._merge_time(app, data, hw, n_shards)
-    n_chunks = sum(len(sched.chunks) for _g, _t, _b, _o, sched in per_shard)
+    total = float(total) + hw.gpu.kernel_launch_overhead
+    total += eng._merge_time(app, data, hw, len(plans))
+    n_chunks = sum(len(sched.chunks) for _g, _su, sched in plans)
     return _finish_pipelined(eng.name, app.name, total, bounds, occupancy, n_chunks)
-
-
-def _gpu_double_chunks(app, data, config) -> TemplatedChunks:
-    """Rebuild gpu_double's schedule exactly as the engine prices it."""
-    hw = config.hardware
-    profile = app.access_profile(data)
-    gpu = GpuDevice(hw.gpu)
-    cpu = CpuDevice(hw.cpu)
-    units = app.n_units(data)
-    upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-    threads = config.total_compute_threads
-
-    def costs(u: int) -> ChunkWork:
-        raw = u * profile.record_bytes
-        cost = kernel_chunk_cost(profile, u, coalesced=False)
-        t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-        wb = u * profile.write_bytes_per_record
-        return ChunkWork(
-            index=0,
-            t_addr_gen=0.0,
-            addr_bytes_d2h=0,
-            t_assembly=cpu.staging_copy_time(raw),
-            xfer_bytes=int(raw),
-            t_compute=t_comp,
-            write_bytes=int(wb),
-            t_scatter=cpu.staging_copy_time(wb) if wb > 0 else 0.0,
-        )
-
-    n_full, rem = divmod(units, upc)
-    if rem == 0:
-        return TemplatedChunks(costs(upc), n_full, None, profile.passes)
-    if n_full == 0:
-        return TemplatedChunks(costs(rem), 1, None, profile.passes)
-    return TemplatedChunks(costs(upc), n_full, costs(rem), profile.passes)
 
 
 def predict_run(
@@ -350,7 +334,6 @@ def predict_run(
     hw = config.hardware
     profile = app.access_profile(data)
     units = app.n_units(data)
-    cpu = CpuDevice(hw.cpu)
 
     if eng.name == "cpu_serial" or eng.name == "cpu_mt":
         n_ops = units * profile.cpu_ops_per_record * profile.passes
@@ -382,26 +365,10 @@ def predict_run(
         )
 
     if eng.name == "gpu_single":
-        gpu = GpuDevice(hw.gpu)
         upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-        threads = config.total_compute_threads
-
-        def costs(u: int):
-            raw = u * profile.record_bytes
-            comm = cpu.staging_copy_time(raw) + hw.pcie.transfer_time(raw, pinned=True)
-            cost = kernel_chunk_cost(profile, u, coalesced=False)
-            comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-            wb = u * profile.write_bytes_per_record
-            if wb > 0:
-                comm += hw.pcie.transfer_time(wb, pinned=True)
-                comm += cpu.staging_copy_time(wb)
-            return comm, comp
-
-        n_full, rem = divmod(units, upc)
-        comm_f, comp_f = costs(upc) if n_full else (0.0, 0.0)
-        comm_t, comp_t = costs(rem) if rem else (0.0, 0.0)
-        comm = profile.passes * (n_full * comm_f + comm_t)
-        comp = profile.passes * (n_full * comp_f + comp_t)
+        comm, comp, _h2d, _d2h, n_chunks = serial_totals(
+            profile, hw, units, upc, config.total_compute_threads
+        )
         total = comm + comp
         occupancy = {"data_transfer": comm, "compute": comp}
         return PredictedRun(
@@ -413,13 +380,12 @@ def predict_run(
             overlap_fraction=0.0,
             bounds={"serial_chain": total},
             binding_bound="serial_chain",
-            n_chunks=profile.passes * (n_full + (1 if rem else 0)),
+            n_chunks=n_chunks,
         )
 
     if eng.name == "gpu_double":
-        chunks = _gpu_double_chunks(app, data, config)
-        pipe_cfg = PipelineConfig(ring_depth=2, cpu_workers=1)
-        total, bounds, occupancy = predict_templated(hw, chunks, pipe_cfg)
+        chunks, _upc = eng._schedule(app, data, config)
+        total, bounds, occupancy = predict_templated(hw, chunks, GPU_DOUBLE_PIPELINE)
         return _finish_pipelined(
             eng.name, app.name, total, bounds, occupancy, len(chunks)
         )

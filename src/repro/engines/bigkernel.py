@@ -18,28 +18,26 @@ Feature flags reproduce the Section VI-B ablation:
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-import numpy as np
-
-from repro.apps.base import AppData, Application, data_fingerprint
+from repro.apps.base import AccessProfile, AppData, Application, data_fingerprint
 from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
 from repro.engines.gpu_common import (
     addr_gen_chunk_cost,
     chunk_plan,
     kernel_chunk_cost,
-    original_access_pattern,
 )
 from repro.errors import PinnedMemoryExceeded, SlicingError
 from repro.faults.inject import FaultInjector
 from repro.faults.policies import degrade_buffer_plan
 from repro.hw.cpu import CpuDevice
+from repro.hw.elementwise import maximum, minimum, trunc_int
 from repro.hw.gpu import GpuDevice
 from repro.hw.gpu_memory import GpuMemoryAllocator
 from repro.hw.pinned import PinnedAllocator
+from repro.hw.spec import CpuSpec, HardwareSpec
 from repro.kernelc.slicing import make_addrgen_kernel
 from repro.runtime.assembly import estimate_assembly_hit_rate
 from repro.runtime.buffers import BlockBuffers, BufferConfig
@@ -126,6 +124,129 @@ class BigKernelSchedule:
     #: what the degradation policies gave up under an injected fault
     #: (``ring_shrunk_to``, ``blocks_shrunk_to``); empty on clean runs
     degradations: dict = dataclass_field(default_factory=dict)
+
+
+#: CPU slots of the pipeline: the assembly and scatter stage times are
+#: aggregates, already divided by the per-block worker pool
+PIPELINE_CPU_WORKERS = 2
+
+
+def sync_overhead(hw: HardwareSpec) -> float:
+    """Per-chunk GPU-side synchronization: two flag waits + two barriers."""
+    return GpuDevice(hw.gpu).flag_wait_overhead(2) + 2 * hw.gpu.global_latency
+
+
+def assembly_workers(active_blocks, cpu: CpuSpec):
+    """One host assembly thread per active block, up to the hardware
+    threads (``active_blocks`` may be an array)."""
+    return minimum(active_blocks, cpu.threads)
+
+
+def payload_per_unit(profile: AccessProfile, reduce_volume: bool) -> float:
+    """Bytes per unit crossing PCIe h2d: the sliced reads, or whole records."""
+    return profile.read_bytes_per_record if reduce_volume else profile.record_bytes
+
+
+def chunk_work(
+    profile: AccessProfile,
+    hw: HardwareSpec,
+    u,
+    threads,
+    workers,
+    *,
+    reduce_volume: bool,
+    pattern_on: bool,
+    coalesced: bool,
+    mem_bandwidth: float,
+) -> ChunkWork:
+    """Stage costs of one chunk covering ``u`` units (index 0).
+
+    ``workers`` is the host assembly pool the CPU stages divide over and
+    ``mem_bandwidth`` the host memory bandwidth bounding assembly (the
+    socket's, or a NUMA shard's share). ``u``, ``threads`` and ``workers``
+    may be arrays (one chunk per element).
+    """
+    gpu = GpuDevice(hw.gpu)
+    cpu = CpuDevice(hw.cpu)
+    raw = u * profile.record_bytes
+    emitted = u * profile.emitted_addresses_per_record
+    read_bytes = u * profile.read_bytes_per_record
+    payload = u * payload_per_unit(profile, reduce_volume)
+    pool = workers * hw.cpu.mt_efficiency
+
+    # Stage 1: address generation (+ address shipping when no pattern
+    # compresses the stream).
+    t_ag = gpu.stage_time(addr_gen_chunk_cost(profile, u), threads)
+    if not reduce_volume or pattern_on:
+        # A verified pattern (or the degenerate whole-range slice) sends
+        # one tiny descriptor per thread for the entire run — amortized to
+        # nothing per chunk.
+        addr_d2h = 0
+    else:
+        addr_d2h = trunc_int(emitted * ADDRESS_BYTES)
+
+    # Stage 2: data assembly.
+    if not reduce_volume:
+        # No gathering: plain staging copy, parallel across the per-block
+        # CPU threads.
+        t_asm = cpu.staging_copy_time(raw) / pool
+        t_asm = maximum(t_asm, 2.0 * raw / mem_bandwidth)
+    else:
+        hit = estimate_assembly_hit_rate(
+            elem_bytes=profile.elem_bytes,
+            record_bytes=int(max(profile.record_bytes, 1)),
+            threads=threads,
+            chunk_bytes=trunc_int(raw),
+            cpu=hw.cpu,
+            locality_opt=pattern_on,
+            reads_per_record=profile.reads_per_record,
+        )
+        # A recognized pattern exposes contiguous runs the gather loop
+        # copies whole; without one, every emitted address is a separate
+        # address-driven copy.
+        if pattern_on:
+            accesses = read_bytes / profile.gather_run_bytes
+        else:
+            accesses = emitted
+        per_thread_t = cpu.assembly_time(
+            n_elements=emitted,
+            elem_bytes=read_bytes / maximum(emitted, 1e-9),
+            hit_rate=hit,
+            address_driven=not pattern_on,
+            n_accesses=accesses,
+        )
+        t_asm = per_thread_t / pool
+        t_asm = maximum(t_asm, 2.0 * read_bytes / mem_bandwidth)
+
+    # Stage 4: computation on the (re)laid-out buffer.
+    cost = kernel_chunk_cost(profile, u, coalesced=coalesced)
+    t_comp = gpu.stage_time(cost, threads)
+
+    # Stages 5-6: mapped writes.
+    wb = u * profile.write_bytes_per_record
+    t_scatter = 0.0
+    if profile.write_bytes_per_record > 0:
+        w_elem = profile.write_bytes_per_record / max(
+            profile.writes_per_record, 1e-9
+        )
+        t_scatter = (
+            cpu.scatter_time(u * profile.writes_per_record, w_elem, hit_rate=0.9)
+            / pool
+        )
+
+    return ChunkWork(
+        index=0,
+        t_addr_gen=t_ag,
+        addr_bytes_d2h=addr_d2h,
+        t_assembly=t_asm,
+        xfer_bytes=trunc_int(payload),
+        t_compute=t_comp,
+        write_bytes=trunc_int(wb),
+        t_scatter=t_scatter,
+        # each block's buffer set is its own DMA; assembly threads issue
+        # one consolidated copy per worker
+        xfer_segments=workers,
+    )
 
 
 class BigKernelEngine(Engine):
@@ -331,17 +452,13 @@ class BigKernelEngine(Engine):
         self.schedule_misses += 1
         hw = config.hardware
         profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
-        gpu = GpuDevice(hw.gpu)
-        cpu = CpuDevice(hw.cpu)
 
         sliceable = self._sliceable(app, profile)
         reduce_volume = self.features.reduce_volume and sliceable
-        payload_per_unit = (
-            profile.read_bytes_per_record if reduce_volume else profile.record_bytes
+        units = app.n_units(data) if units is None else units
+        upc, _ = chunk_plan(
+            units, config.chunk_bytes, payload_per_unit(profile, reduce_volume)
         )
-        units = totals["units"] if units is None else units
-        upc, _ = chunk_plan(units, config.chunk_bytes, payload_per_unit)
 
         # Pattern recognition on real address streams (Table II's switch).
         pattern_fraction = 0.0
@@ -355,114 +472,32 @@ class BigKernelEngine(Engine):
         workers = (
             workers_override
             if workers_override is not None
-            else min(active_blocks, hw.cpu.threads)
+            else assembly_workers(active_blocks, hw.cpu)
         )
         threads = config.total_compute_threads
-        sync_overhead = gpu.flag_wait_overhead(2) + 2 * hw.gpu.global_latency
+        coalesced = self.features.coalesce and reduce_volume
 
-        def chunk_costs(u: int) -> ChunkWork:
-            """Stage costs of one chunk covering ``u`` units (index 0)."""
-            raw = u * profile.record_bytes
-            emitted = u * profile.emitted_addresses_per_record
-            read_bytes = u * profile.read_bytes_per_record
-            payload = u * payload_per_unit
-
-            # Stage 1: address generation (+ address shipping when no
-            # pattern compresses the stream).
-            t_ag = gpu.stage_time(addr_gen_chunk_cost(profile, u), threads)
-            if not reduce_volume or pattern_on:
-                # A verified pattern (or the degenerate whole-range
-                # slice) sends one tiny descriptor per thread for the
-                # entire run — amortized to nothing per chunk.
-                addr_d2h = 0
-            else:
-                addr_d2h = int(emitted * ADDRESS_BYTES)
-
-            # Stage 2: data assembly.
-            if not reduce_volume:
-                # No gathering: plain staging copy, parallel across the
-                # per-block CPU threads.
-                t_asm = cpu.staging_copy_time(raw) / (workers * hw.cpu.mt_efficiency)
-                t_asm = max(t_asm, 2.0 * raw / hw.cpu.mem_bandwidth)
-            else:
-                hit = estimate_assembly_hit_rate(
-                    elem_bytes=profile.elem_bytes,
-                    record_bytes=int(max(profile.record_bytes, 1)),
-                    threads=threads,
-                    chunk_bytes=int(raw),
-                    cpu=hw.cpu,
-                    locality_opt=pattern_on,
-                    reads_per_record=profile.reads_per_record,
-                )
-                # A recognized pattern exposes contiguous runs the
-                # gather loop copies whole; without one, every emitted
-                # address is a separate address-driven copy.
-                if pattern_on:
-                    accesses = read_bytes / profile.gather_run_bytes
-                else:
-                    accesses = emitted
-                per_thread_t = cpu.assembly_time(
-                    n_elements=emitted,
-                    elem_bytes=read_bytes / max(emitted, 1e-9),
-                    hit_rate=hit,
-                    address_driven=not pattern_on,
-                    n_accesses=accesses,
-                )
-                t_asm = per_thread_t / (workers * hw.cpu.mt_efficiency)
-                t_asm = max(t_asm, 2.0 * read_bytes / hw.cpu.mem_bandwidth)
-
-            # Stage 4: computation on the (re)laid-out buffer.
-            coalesced = self.features.coalesce and reduce_volume
-            cost = kernel_chunk_cost(profile, u, coalesced=coalesced)
-            t_comp = gpu.stage_time(cost, threads)
-
-            # Stages 5-6: mapped writes.
-            wb = u * profile.write_bytes_per_record
-            t_scatter = 0.0
-            if wb > 0:
-                w_elem = profile.write_bytes_per_record / max(
-                    profile.writes_per_record, 1e-9
-                )
-                t_scatter = cpu.scatter_time(
-                    u * profile.writes_per_record, w_elem, hit_rate=0.9
-                ) / (workers * hw.cpu.mt_efficiency)
-
-            return ChunkWork(
-                index=0,
-                t_addr_gen=t_ag,
-                addr_bytes_d2h=int(addr_d2h),
-                t_assembly=t_asm,
-                xfer_bytes=int(payload),
-                t_compute=t_comp,
-                write_bytes=int(wb),
-                t_scatter=t_scatter,
-                # each block's buffer set is its own DMA; assembly
-                # threads issue one consolidated copy per worker
-                xfer_segments=workers,
+        def costs(u: int) -> ChunkWork:
+            return chunk_work(
+                profile,
+                hw,
+                u,
+                threads,
+                workers,
+                reduce_volume=reduce_volume,
+                pattern_on=pattern_on,
+                coalesced=coalesced,
+                mem_bandwidth=hw.cpu.mem_bandwidth,
             )
 
-        # Every full-size chunk shares one cost vector: price the template
-        # once, the ragged tail once, and keep the sequence lazy.
-        n_full, rem = divmod(units, upc)
-        if rem == 0:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, None, passes=profile.passes
-            )
-        elif n_full == 0:
-            chunks = TemplatedChunks(
-                chunk_costs(rem), 1, None, passes=profile.passes
-            )
-        else:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, chunk_costs(rem), passes=profile.passes
-            )
+        chunks = TemplatedChunks.from_costs(costs, units, upc, profile.passes)
 
         pipe_cfg = PipelineConfig(
             # the ring may have been shrunk by the degradation policy;
             # clean runs keep buf_cfg.instances == config.ring_depth
             ring_depth=buf_cfg.instances,
-            cpu_workers=2,  # aggregate stage times are pre-divided by workers
-            sync_overhead=sync_overhead,
+            cpu_workers=PIPELINE_CPU_WORKERS,
+            sync_overhead=sync_overhead(hw),
         )
         sched = BigKernelSchedule(
             chunks=chunks,

@@ -6,6 +6,7 @@ import math
 
 from repro.apps.base import AccessProfile
 from repro.hw.coalescing import AccessPattern
+from repro.hw.elementwise import maximum, trunc_int
 from repro.hw.gpu import KernelCost
 
 #: lane distance used for byte-walk kernels (each thread owns a contiguous
@@ -69,7 +70,14 @@ def addr_gen_chunk_cost(profile: AccessProfile, units: float) -> KernelCost:
     )
 
 
+def units_per_chunk(chunk_bytes, bytes_per_unit: float):
+    """Whole units that fit one ``chunk_bytes`` chunk (at least one).
+
+    ``chunk_bytes`` may be an array (one chunk size per element)."""
+    return maximum(1, trunc_int(chunk_bytes / max(bytes_per_unit, 1e-12)))
+
+
 def chunk_plan(total_units: int, chunk_bytes: int, bytes_per_unit: float) -> tuple[int, int]:
     """(units per chunk, number of chunks per pass)."""
-    upc = max(1, int(chunk_bytes / max(bytes_per_unit, 1e-12)))
+    upc = units_per_chunk(chunk_bytes, bytes_per_unit)
     return upc, math.ceil(total_units / upc)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.apps.base import AppData, Application
+from repro.apps.base import AccessProfile, AppData, Application
 from repro.engines.base import Engine, EngineConfig, RunMetrics, RunResult
 from repro.engines.gpu_common import chunk_plan, kernel_chunk_cost
 from repro.faults.inject import FaultInjector
 from repro.hw.cpu import CpuDevice
+from repro.hw.elementwise import trunc_int, where
 from repro.hw.gpu import GpuDevice
+from repro.hw.spec import HardwareSpec
 from repro.runtime.fastpath import TemplatedChunks
 from repro.runtime.pipeline import (
     STAGE_ASSEMBLY,
@@ -31,11 +33,51 @@ from repro.runtime.pipeline import (
 )
 
 
+#: two buffer pairs; one host thread stages every chunk
+PIPELINE = PipelineConfig(ring_depth=2, cpu_workers=1)
+
+
+def chunk_work(profile: AccessProfile, hw: HardwareSpec, u, threads) -> ChunkWork:
+    """Stage costs of one ``u``-unit chunk.
+
+    ``u`` and ``threads`` may be arrays (one chunk per element)."""
+    cpu = CpuDevice(hw.cpu)
+    gpu = GpuDevice(hw.gpu)
+    raw = u * profile.record_bytes
+    cost = kernel_chunk_cost(profile, u, coalesced=False)
+    t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
+    wb = u * profile.write_bytes_per_record
+    return ChunkWork(
+        index=0,
+        t_addr_gen=0.0,
+        addr_bytes_d2h=0,
+        t_assembly=cpu.staging_copy_time(raw),
+        xfer_bytes=trunc_int(raw),
+        t_compute=t_comp,
+        write_bytes=trunc_int(wb),
+        t_scatter=where(wb > 0, cpu.staging_copy_time(wb), 0.0),
+    )
+
+
 class GpuDoubleBufferEngine(Engine):
     """Chunked execution with transfer/compute overlap (2 buffers)."""
 
     name = "gpu_double"
     display_name = "GPU Double Buffer"
+
+    def _schedule(
+        self, app: Application, data: AppData, config: EngineConfig
+    ) -> tuple[TemplatedChunks, int]:
+        """The run's chunk sequence and its units per chunk."""
+        profile = app.access_profile(data)
+        units = app.n_units(data)
+        upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
+        threads = config.total_compute_threads
+
+        def costs(u: int) -> ChunkWork:
+            return chunk_work(profile, config.hardware, u, threads)
+
+        return TemplatedChunks.from_costs(costs, units, upc, profile.passes), upc
 
     def run(
         self,
@@ -45,51 +87,13 @@ class GpuDoubleBufferEngine(Engine):
     ) -> RunResult:
         config = config or EngineConfig()
         hw = config.hardware
-        profile = app.access_profile(data)
-        totals = self.totals(app, data, profile)
-        gpu = GpuDevice(hw.gpu)
-        cpu = CpuDevice(hw.cpu)
-
-        units = totals["units"]
-        upc, _ = chunk_plan(units, config.chunk_bytes, profile.record_bytes)
-        threads = config.total_compute_threads
-
-        def chunk_costs(u: int) -> ChunkWork:
-            raw = u * profile.record_bytes
-            cost = kernel_chunk_cost(profile, u, coalesced=False)
-            t_comp = gpu.stage_time(cost, threads) + gpu.spec.kernel_launch_overhead
-            wb = u * profile.write_bytes_per_record
-            return ChunkWork(
-                index=0,
-                t_addr_gen=0.0,
-                addr_bytes_d2h=0,
-                t_assembly=cpu.staging_copy_time(raw),
-                xfer_bytes=int(raw),
-                t_compute=t_comp,
-                write_bytes=int(wb),
-                t_scatter=cpu.staging_copy_time(wb) if wb > 0 else 0.0,
-            )
-
-        # One cost vector for every full chunk, one for the ragged tail.
-        n_full, rem = divmod(units, upc)
-        if rem == 0:
-            chunks = TemplatedChunks(chunk_costs(upc), n_full, None, profile.passes)
-        elif n_full == 0:
-            chunks = TemplatedChunks(chunk_costs(rem), 1, None, profile.passes)
-        else:
-            chunks = TemplatedChunks(
-                chunk_costs(upc), n_full, chunk_costs(rem), profile.passes
-            )
+        chunks, upc = self._schedule(app, data, config)
 
         injector = None
         if config.faults is not None and config.faults.active():
             injector = FaultInjector(config.faults)
         result = run_pipeline(
-            hw,
-            chunks,
-            PipelineConfig(ring_depth=2, cpu_workers=1),
-            fastpath=config.fastpath,
-            faults=injector,
+            hw, chunks, PIPELINE, fastpath=config.fastpath, faults=injector
         )
         sim_time = result.total_time
 

@@ -49,6 +49,7 @@ from repro.hw.topology import (
     merge_cost,
     node_of_shard,
     shard_mem_bandwidth,
+    shard_split,
     shard_workers,
     state_nbytes,
 )
@@ -119,17 +120,10 @@ class MultiGpuBigKernelEngine(BigKernelEngine):
         """
         hw = config.hardware
         fabric = self.fabric
-        units = app.n_units(data)
-        per_shard = -(-units // fabric.n_gpus)  # ceil
         workers = shard_workers(hw.cpu, fabric)
 
         plans = []
-        remaining = units
-        for g in range(fabric.n_gpus):
-            su = min(per_shard, remaining)
-            if su <= 0:
-                break
-            remaining -= su
+        for g, su in shard_split(app.n_units(data), fabric):
             bw = shard_mem_bandwidth(hw.cpu, g, fabric)
             shard_cfg = config
             if bw != hw.cpu.mem_bandwidth:

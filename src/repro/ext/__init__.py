@@ -5,18 +5,17 @@
   record-wise mapper + associative reducer into a streaming
   :class:`~repro.apps.base.Application`, so arbitrary MapReduce jobs run on
   every execution scheme (including BigKernel) unchanged.
-* :mod:`repro.ext.multigpu` — sharding the stream across several simulated
-  GPUs, each with its own pipeline (and optionally its own PCIe link).
-  Now a first-class engine in :mod:`repro.engines.multigpu`; the module
-  here is a re-export shim.
-* :mod:`repro.ext.uvm` — a fault-driven unified-memory baseline: the
-  mechanism that later delivered BigKernel's programming model in the
-  driver, and the historical reason this line of work was superseded.
+
+Two extensions that started here are now engines and are re-exported from
+:mod:`repro.engines`: ``MultiGpuBigKernelEngine`` (sharding the stream
+across several simulated GPUs, :mod:`repro.engines.multigpu`) and the
+fault-driven unified-memory baseline ``GpuUvmEngine``/``UvmSpec`` (the
+mechanism that later delivered BigKernel's programming model in the
+driver, :mod:`repro.engines.uvm`).
 """
 
+from repro.engines import GpuUvmEngine, MultiGpuBigKernelEngine, UvmSpec
 from repro.ext.mapreduce import MapReduceSpec, MapReduceApp, make_clickstream_job
-from repro.ext.multigpu import MultiGpuBigKernelEngine
-from repro.ext.uvm import GpuUvmEngine, UvmSpec
 
 __all__ = [
     "MapReduceSpec",

@@ -10,11 +10,16 @@ prefetched element where traditional staging does one read + one write).
 from __future__ import annotations
 
 from repro.errors import HardwareError
+from repro.hw.elementwise import any_true
 from repro.hw.spec import CpuSpec
 
 
 class CpuDevice:
-    """Analytic timing for host-side work, parameterized by a CpuSpec."""
+    """Analytic timing for host-side work, parameterized by a CpuSpec.
+
+    The staging, assembly and scatter costs accept arrays for their work
+    amounts and hit rates (one chunk per element).
+    """
 
     def __init__(self, spec: CpuSpec):
         self.spec = spec
@@ -60,7 +65,7 @@ class CpuDevice:
         One read + one write stream on one thread; wide streaming copies
         sustain about two thirds of the single-thread streaming bandwidth.
         """
-        if nbytes < 0:
+        if any_true(nbytes < 0):
             raise HardwareError("nbytes must be non-negative")
         return nbytes / (self.spec.per_thread_bandwidth * 2.0 / 3.0)
 
@@ -90,9 +95,8 @@ class CpuDevice:
         When no pattern was recognized (``address_driven``), the CPU also
         streams through the address buffer, one address per element.
         """
-        if not 0.0 <= hit_rate <= 1.0:
-            raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")
-        if n_elements < 0 or elem_bytes < 0:
+        _check_hit_rate(hit_rate)
+        if any_true(n_elements < 0) or any_true(elem_bytes < 0):
             raise HardwareError("work amounts must be non-negative")
         data_bytes = n_elements * elem_bytes
         hit_bw = self.spec.per_thread_bandwidth
@@ -106,15 +110,14 @@ class CpuDevice:
             else 0.0
         )
         accesses = n_elements if n_accesses is None else n_accesses
-        if accesses < 0:
+        if any_true(accesses < 0):
             raise HardwareError("n_accesses must be non-negative")
         loop_t = accesses * ops_per_access / self.spec.peak_ops_per_thread
         return read_t + write_t + addr_t + loop_t
 
     def scatter_time(self, n_elements: float, elem_bytes: float, hit_rate: float) -> float:
         """Write-back stage: scatter returned values into the mapped source."""
-        if not 0.0 <= hit_rate <= 1.0:
-            raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")
+        _check_hit_rate(hit_rate)
         data_bytes = n_elements * elem_bytes
         hit_bw = self.spec.per_thread_bandwidth
         miss_bw = self.random_read_bandwidth()
@@ -123,3 +126,9 @@ class CpuDevice:
             data_bytes * (1.0 - hit_rate)
         ) / miss_bw
         return read_t + write_t
+
+
+def _check_hit_rate(hit_rate) -> None:
+    # ``x != x`` catches NaN, which fails both range comparisons
+    if any_true((hit_rate < 0.0) | (hit_rate > 1.0) | (hit_rate != hit_rate)):
+        raise HardwareError(f"hit_rate must be in [0,1], got {hit_rate}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.hw.elementwise import any_true, where
 from repro.units import GB, GiB, MiB, KiB, US, MS
 
 
@@ -118,14 +119,14 @@ class PcieSpec:
 
         ``segments`` charges the per-DMA setup latency multiple times — a
         BigKernel chunk is physically one DMA per thread-block buffer set,
-        not one large copy.
+        not one large copy. ``nbytes`` and ``segments`` may be arrays
+        (one transfer per element).
         """
-        if segments < 1:
+        if any_true(segments < 1):
             raise ValueError(f"segments must be >= 1, got {segments}")
-        if nbytes <= 0:
-            return self.latency * segments
         bw = self.pinned_bandwidth if pinned else self.pageable_bandwidth
-        return self.latency * segments + nbytes / bw
+        setup = self.latency * segments
+        return where(nbytes > 0, setup + nbytes / bw, setup)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,21 @@ def shard_mem_bandwidth(cpu: CpuSpec, shard: int, fabric: FabricSpec) -> float:
     return share
 
 
+def shard_split(units: int, fabric: FabricSpec) -> list[tuple[int, int]]:
+    """``(shard, units)`` of each non-empty shard: contiguous ceil-sized
+    slices of the unit range, in device order."""
+    per_shard = -(-units // fabric.n_gpus)  # ceil
+    shards = []
+    remaining = units
+    for g in range(fabric.n_gpus):
+        su = min(per_shard, remaining)
+        if su <= 0:
+            break
+        remaining -= su
+        shards.append((g, su))
+    return shards
+
+
 def shard_workers(cpu: CpuSpec, fabric: FabricSpec) -> int:
     """Host assembly threads available to each shard's pipeline."""
     return max(1, cpu.threads // fabric.n_gpus)

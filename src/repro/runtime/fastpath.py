@@ -45,6 +45,7 @@ from dataclasses import replace
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import RuntimeConfigError
+from repro.hw.elementwise import where
 from repro.hw.spec import HardwareSpec
 from repro.runtime.pipeline import (
     STAGE_ADDR_GEN,
@@ -141,11 +142,40 @@ class TemplatedChunks(Sequence):
             ]
         return self._materialized
 
+    @classmethod
+    def from_costs(
+        cls, costs, units: int, upc: int, passes: int = 1
+    ) -> "TemplatedChunks":
+        """A run over ``units`` in ``upc``-unit chunks, where ``costs(u)``
+        is the :class:`ChunkWork` of one ``u``-unit chunk: priced once for
+        the template and once for the ragged tail."""
+        tpl_units, n_template, tail_units, has_tail = chunk_geometry(units, upc)
+        tail = costs(tail_units) if has_tail else None
+        return cls(costs(tpl_units), n_template, tail, passes=passes)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TemplatedChunks(n_full={self.n_full}, tail="
             f"{'yes' if self.tail else 'no'}, passes={self.passes})"
         )
+
+
+def chunk_geometry(units, upc):
+    """Template/tail split of one pass over ``units`` in ``upc``-unit chunks.
+
+    Returns ``(template_units, n_template, tail_units, has_tail)``: a pass
+    is ``n_template`` chunks of ``template_units`` followed, where
+    ``has_tail``, by one ragged chunk of ``tail_units``. A pass shorter
+    than one chunk is a single template chunk; without a tail,
+    ``tail_units`` equals ``template_units``. Scalars or arrays.
+    """
+    n_full, rem = divmod(units, upc)
+    short = n_full == 0
+    has_tail = (rem > 0) & (n_full > 0)
+    template_units = where(short, rem, upc)
+    n_template = where(short, 1, n_full)
+    tail_units = where(has_tail, rem, template_units)
+    return template_units, n_template, tail_units, has_tail
 
 
 def template_of(

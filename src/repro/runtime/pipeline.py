@@ -27,6 +27,7 @@ from typing import Generator, Optional
 
 from repro.errors import RuntimeConfigError
 from repro.faults.inject import FaultInjector, as_injector
+from repro.hw.elementwise import any_true
 from repro.hw.pcie import D2H, H2D, DmaEngine, PcieLink
 from repro.hw.spec import HardwareSpec
 from repro.sim.core import Environment
@@ -52,7 +53,8 @@ class ChunkWork:
 
     The engine derives these from counted work (records, bytes, addresses)
     via the hardware cost models; the pipeline is only responsible for the
-    *scheduling* — what overlaps with what.
+    *scheduling* — what overlaps with what. The closed-form predictor also
+    builds them with array fields (one chunk kind per sweep point).
     """
 
     index: int
@@ -75,10 +77,11 @@ class ChunkWork:
 
     def __post_init__(self):
         for name in ("t_addr_gen", "t_assembly", "t_compute", "t_scatter"):
-            if getattr(self, name) < 0:
+            if any_true(getattr(self, name) < 0):
                 raise RuntimeConfigError(f"{name} must be non-negative")
-        if self.addr_bytes_d2h < 0 or self.xfer_bytes < 0 or self.write_bytes < 0:
-            raise RuntimeConfigError("byte counts must be non-negative")
+        for name in ("addr_bytes_d2h", "xfer_bytes", "write_bytes"):
+            if any_true(getattr(self, name) < 0):
+                raise RuntimeConfigError("byte counts must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import RuntimeConfigError
+from repro.hw.elementwise import any_true
 from repro.hw.gpu import BlockResources, GpuDevice
 from repro.runtime.buffers import BufferConfig
 
 
 @dataclass(frozen=True)
 class ThreadLayout:
-    """Thread organization of one BigKernel thread block."""
+    """Thread organization of one BigKernel thread block.
+
+    ``compute_threads`` may be an array (one block shape per element).
+    """
 
     #: computation threads per block in the *original* program
     compute_threads: int
     warp_size: int = 32
 
     def __post_init__(self):
-        if self.compute_threads < 1:
+        if any_true(self.compute_threads < 1):
             raise RuntimeConfigError("compute_threads must be >= 1")
-        if self.compute_threads % self.warp_size:
+        if any_true(self.compute_threads % self.warp_size != 0):
             raise RuntimeConfigError(
                 f"compute_threads ({self.compute_threads}) must be a multiple "
                 f"of the warp size ({self.warp_size}) for warp-homogeneous "

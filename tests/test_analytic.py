@@ -21,7 +21,7 @@ from repro.analytic import (
     run_report,
     suggest_grid,
 )
-from repro.apps import get_app
+from repro.apps import ALL_APPS, get_app
 from repro.engines import (
     BigKernelEngine,
     CpuSerialEngine,
@@ -38,6 +38,14 @@ from repro.units import MiB
 def workload():
     app = get_app("wordcount")
     return app, app.generate(n_bytes=2 * MiB, seed=7)
+
+
+@pytest.fixture(scope="module")
+def every_app():
+    return [
+        (app, app.generate(n_bytes=1 * MiB, seed=3))
+        for app in (cls() for cls in ALL_APPS)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -136,21 +144,26 @@ class TestPredictRun:
 class TestPredictGrid:
     GRID = {
         "chunk_bytes": [128 * 1024, 256 * 1024, 512 * 1024],
+        "compute_threads": [64, 256],
         "num_blocks": [8, 16],
         "ring_depth": [2, 3],
     }
 
-    @pytest.mark.parametrize("engine", PREDICTABLE_ENGINES)
-    def test_grid_matches_scalar_pointwise(self, workload, engine):
-        app, data = workload
+    @pytest.mark.parametrize(
+        "engine", PREDICTABLE_ENGINES + ("bigkernel_multigpu4_shared",)
+    )
+    def test_grid_matches_scalar_pointwise(self, every_app, engine):
+        """The grid evaluates the engines' own chunk-cost functions over
+        arrays, so every point equals ``predict_run`` bit for bit."""
         base = EngineConfig(functional=False)
-        gp = predict_grid(app, data, self.GRID, base, engine=engine)
-        assert gp.n_points == 12
-        for i in (0, 5, 11):
-            scalar = predict_run(
-                app, data, gp.config_at(i), engine=engine
-            ).sim_time
-            assert float(gp.sim_time[i]) == pytest.approx(scalar, rel=1e-12)
+        for app, data in every_app:
+            gp = predict_grid(app, data, self.GRID, base, engine=engine)
+            assert gp.n_points == 24
+            scalar = [
+                predict_run(app, data, gp.config_at(i), engine=engine).sim_time
+                for i in range(gp.n_points)
+            ]
+            assert gp.sim_time.tolist() == scalar, app.name
 
     def test_enumeration_matches_sweep_order(self, workload):
         import itertools

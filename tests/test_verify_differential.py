@@ -10,13 +10,15 @@ import pytest
 from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
 from repro.errors import VerificationError
-from repro.units import MiB
+from repro.units import KiB, MiB
 from repro.verify.differential import (
     DifferentialReport,
     DiffEntry,
     compare_outputs,
     describe_output,
+    run_analytic_differential,
     run_differential,
+    run_multigpu_differential,
 )
 
 DATA_BYTES = 1 * MiB
@@ -124,3 +126,17 @@ def test_oracle_added_when_absent():
         check_invariants=False,
     )
     assert rep.ok and len(rep.entries) == 1
+
+
+def test_analytic_pillar_passes():
+    """``verify --analytic``: ``predict_run`` against the DES on the clean
+    matrix and on fuzzed geometries."""
+    report = run_analytic_differential(data_bytes=256 * KiB)
+    assert report.ok, report.summary()
+
+
+def test_multigpu_pillar_passes():
+    """``verify --multigpu``: sharded outputs, shard traces and the shard
+    predictor on the clean matrix and on fuzzed fabrics."""
+    report = run_multigpu_differential()
+    assert report.ok, report.summary()
