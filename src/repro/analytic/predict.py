@@ -36,6 +36,7 @@ from repro.engines.gpu_double import GpuDoubleBufferEngine
 from repro.engines.gpu_single import GpuSingleBufferEngine, serial_totals
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError
+from repro.hw.cpu import CpuDevice
 from repro.hw.elementwise import maximum, where
 from repro.runtime.fastpath import FLAG_BYTES, TemplatedChunks
 from repro.runtime.pipeline import ChunkWork, PipelineConfig
@@ -338,18 +339,11 @@ def predict_run(
     if eng.name == "cpu_serial" or eng.name == "cpu_mt":
         n_ops = units * profile.cpu_ops_per_record * profile.passes
         nbytes = units * profile.record_bytes * profile.passes
+        cpu = CpuDevice(hw.cpu)
         if eng.name == "cpu_serial":
-            compute_t = n_ops / hw.cpu.peak_ops_per_thread
-            mem_t = nbytes / hw.cpu.per_thread_bandwidth
+            compute_t, mem_t = cpu.serial_legs(n_ops, nbytes)
         else:
-            cores_used = min(hw.cpu.threads, hw.cpu.cores)
-            compute_t = n_ops / (
-                hw.cpu.peak_ops_per_thread * cores_used * hw.cpu.mt_efficiency
-            )
-            agg_bw = min(
-                hw.cpu.mem_bandwidth, hw.cpu.threads * hw.cpu.per_thread_bandwidth
-            )
-            mem_t = nbytes / agg_bw
+            compute_t, mem_t = cpu.mt_legs(n_ops, nbytes)
         total = max(compute_t, mem_t)
         occupancy = {"cpu_compute": compute_t, "cpu_memory": mem_t}
         return PredictedRun(

@@ -196,7 +196,6 @@ def chunk_work(
             elem_bytes=profile.elem_bytes,
             record_bytes=int(max(profile.record_bytes, 1)),
             threads=threads,
-            chunk_bytes=trunc_int(raw),
             cpu=hw.cpu,
             locality_opt=pattern_on,
             reads_per_record=profile.reads_per_record,

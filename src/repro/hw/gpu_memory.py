@@ -45,10 +45,6 @@ class GpuMemoryAllocator:
     def available(self) -> int:
         return self.capacity - self.used
 
-    @property
-    def allocations(self) -> list[Allocation]:
-        return sorted(self._live.values(), key=lambda a: a.offset)
-
     def _round(self, nbytes: int) -> int:
         a = self.alignment
         return (int(nbytes) + a - 1) // a * a

@@ -62,13 +62,6 @@ class FabricSpec:
                 "remote_mem_penalty must be in (0, 1]"
             )
 
-    @property
-    def label(self) -> str:
-        parts = [f"g{self.n_gpus}", "shared" if self.shared_link else "dedicated"]
-        if not self.numa_aware:
-            parts.append("numa-blind")
-        return ":".join(parts)
-
 
 def node_of_shard(shard: int, fabric: FabricSpec) -> int:
     """NUMA node shard ``shard``'s GPU (and assembly threads) sit on.

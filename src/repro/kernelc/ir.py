@@ -76,10 +76,6 @@ class RecordSchema:
                 return f
         raise IRValidationError(f"no field {name!r} in schema")
 
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
-
     def numpy_dtype(self) -> np.dtype:
         """Structured dtype with explicit offsets and itemsize."""
         return np.dtype(

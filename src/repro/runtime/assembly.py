@@ -172,7 +172,6 @@ def estimate_assembly_hit_rate(
     elem_bytes: int,
     record_bytes: int,
     threads: int,
-    chunk_bytes: int,
     cpu: CpuSpec,
     locality_opt: bool,
     reads_per_record: float = 1.0,
@@ -183,9 +182,10 @@ def estimate_assembly_hit_rate(
     record by record: the lines a record spans are fetched once and all
     ``reads_per_record`` accesses share them, so the miss count per record
     is ``record_bytes / cache_line`` (at most one per access). Without it,
-    consecutive reads jump between threads' slabs (~``chunk/threads``
-    apart): each read opens its own line unless the whole chunk fits in
-    cache. ``threads`` may be an array (one hit rate per element).
+    consecutive reads jump between threads' slabs, so the rate depends on
+    whether one live line per thread's stream fits in cache; the chunk
+    size does not enter. ``threads`` may be an array (one hit rate per
+    element).
     """
     if reads_per_record <= 0:
         return 1.0

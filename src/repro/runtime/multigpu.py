@@ -74,25 +74,6 @@ class ShardedPipelineResult:
     #: per-shard results, each carrying that shard's own trace
     shards: list[PipelineResult] = field(default_factory=list)
 
-    @property
-    def n_chunks(self) -> int:
-        return sum(s.n_chunks for s in self.shards)
-
-    @property
-    def bytes_h2d(self) -> int:
-        return sum(s.bytes_h2d for s in self.shards)
-
-    @property
-    def bytes_d2h(self) -> int:
-        return sum(s.bytes_d2h for s in self.shards)
-
-    def stage_totals(self) -> dict:
-        totals: dict = {}
-        for s in self.shards:
-            for k, v in s.stage_totals.items():
-                totals[k] = totals.get(k, 0.0) + v
-        return totals
-
 
 def _trace_bytes(trace: TraceRecorder, track: str) -> int:
     return sum(int(iv.meta.get("nbytes", 0)) for iv in trace.by_track(track))

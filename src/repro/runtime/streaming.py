@@ -95,10 +95,3 @@ class StreamingRegistry:
             return self._arrays[name]
         except KeyError:
             raise RuntimeConfigError(f"streaming array {name!r} is not mapped")
-
-    @property
-    def arrays(self) -> list[StreamingArray]:
-        return list(self._arrays.values())
-
-    def total_mapped_bytes(self) -> int:
-        return sum(a.nbytes for a in self._arrays.values())

@@ -145,16 +145,6 @@ class ServeMetrics:
             return None
         return self.slo_met / self.slo_total
 
-    def completed_share(self) -> dict:
-        """Fraction of all completed+failed requests per tenant (fairness)."""
-        totals = {
-            name: b["completed"] + b["failed"] for name, b in self.per_tenant.items()
-        }
-        grand = sum(totals.values())
-        if not grand:
-            return {}
-        return {name: n / grand for name, n in totals.items()}
-
     def summary(self) -> str:
         lines = [
             f"submitted={self.submitted} admitted={self.admitted} "

@@ -726,16 +726,10 @@ class Server:
     # -------------------------------------------------------- verification
     def _verify_one(self, job: JobSpec, resp: ServeResponse) -> None:
         """Bit-compare a completed response against its one-shot oracle."""
-        okey = (job.dataset, job.engine, job.config)
-        oracle = self._oracles.get(okey)
-        if oracle is None:
-            oracle = self._oracles[okey] = oneshot_oracle(job)
+        from repro.verify.differential import served_result_problems
+
         self.metrics.verified += 1
-        ok = resp.result.sim_time == oracle.sim_time
-        if job.config.functional:
-            app = get_app(job.dataset.app)
-            ok = ok and app.outputs_equal(resp.result.output, oracle.output)
-        if not ok:
+        if served_result_problems(job, resp.result, self._oracles):
             self.metrics.verify_failures += 1
             resp.error = "served result diverges from its one-shot oracle"
 

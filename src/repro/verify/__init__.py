@@ -1,53 +1,33 @@
 """Invariant-checking & differential verification (the safety net).
 
-Three pillars, each usable on its own:
-
 * :mod:`repro.verify.invariants` — physical-law checkers over pipeline
-  timelines (capacity, causality, backpressure, byte conservation);
-* :mod:`repro.verify.differential` — every engine vs the serial CPU
-  oracle, bit-for-bit, with a structured mismatch report;
-* :mod:`repro.verify.fuzz` — seeded random IR programs and pipeline
-  schedules through the compiler round trip and the invariant checkers.
-
-Opt-in pillars extend the sweep: ``--fastpath`` checks the analytic
-steady-state pipeline (:mod:`repro.runtime.fastpath`) against the DES
-across the full app x engine matrix (totals within 1e-9), ``--compiled``
-checks the vectorized kernel backend against the interpreter, and
-``--analytic`` checks the closed-form performance predictor
-(:mod:`repro.analytic`) against the DES at 5% relative tolerance over
-the clean matrix plus fuzzed geometries, and ``--multigpu`` checks the
-sharded scale-out engine against the serial oracle across GPU counts
-and link topologies — merged outputs bit-equal, every shard's trace
-invariant-checked (:func:`~repro.verify.invariants.audit_sharded_run`),
-analytic shard predictions within tolerance, plus fuzzed fabrics.
-``--serve`` replays a seeded multi-tenant trace through a live
-:class:`~repro.serve.Server` and bit-compares every response (rtol 0,
-exact ``sim_time``) against a fresh one-shot oracle of the same job.
-
-``python -m repro verify`` (see :mod:`repro.verify.runner`) runs the
-suites and exits nonzero on any violation. Opt-in hooks:
-``run_pipeline(..., verify=True)``, ``bigkernel_launch(..., verify=True)``
-and ``BenchSettings(check_invariants=True)``.
+  timelines (capacity, causality, backpressure, byte conservation). Their
+  per-trace :class:`InvariantReport` backs ``run_pipeline(..., verify=True)``,
+  ``bigkernel_launch(..., verify=True)``, the chaos sweep and
+  ``BenchSettings(check_invariants=True)``.
+* :mod:`repro.verify.differential` — each subsystem against a trusted
+  oracle: every engine vs the serial CPU run, the fast path vs the DES,
+  the compiled backend vs the interpreter, the predictor vs the DES, the
+  sharded engine vs the serial run, and served responses vs one-shot runs.
+* :mod:`repro.verify.fuzz` — seeded random IR programs, pipeline
+  schedules and UVM paging configurations.
+* :mod:`repro.verify.report` — the one result shape: every pillar returns
+  a :class:`PillarReport` of :class:`Cell` s.
+* :mod:`repro.verify.runner` — :data:`PILLARS`, the registry that
+  ``python -m repro verify`` runs (opt-in pillars behind ``--<name>``);
+  it exits nonzero on any failed cell.
 """
 
 from repro.verify.differential import (
-    AnalyticEntry,
-    AnalyticReport,
-    DiffEntry,
-    DifferentialReport,
-    FastpathEntry,
-    FastpathReport,
-    MultiGpuEntry,
-    MultiGpuReport,
-    ServeEntry,
-    ServeReport,
     run_analytic_differential,
+    run_compiled_differential,
     run_differential,
     run_fastpath_differential,
     run_multigpu_differential,
     run_serve_differential,
+    served_result_problems,
 )
-from repro.verify.fuzz import FuzzFailure, FuzzReport, run_fuzz
+from repro.verify.fuzz import run_fuzz
 from repro.verify.invariants import (
     InvariantReport,
     Violation,
@@ -62,7 +42,8 @@ from repro.verify.invariants import (
     verify_pipeline_trace,
     verify_run,
 )
-from repro.verify.runner import VerifySummary, run_verify
+from repro.verify.report import Cell, PillarReport
+from repro.verify.runner import PILLARS, Pillar, Sweep, VerifySummary, run_verify
 
 __all__ = [
     "Violation",
@@ -77,24 +58,19 @@ __all__ = [
     "audit_sharded_run",
     "verify_pipeline_trace",
     "verify_run",
-    "AnalyticEntry",
-    "AnalyticReport",
-    "DiffEntry",
-    "DifferentialReport",
-    "FastpathEntry",
-    "FastpathReport",
-    "MultiGpuEntry",
-    "MultiGpuReport",
-    "ServeEntry",
-    "ServeReport",
+    "Cell",
+    "PillarReport",
     "run_analytic_differential",
+    "run_compiled_differential",
     "run_differential",
     "run_fastpath_differential",
     "run_multigpu_differential",
     "run_serve_differential",
-    "FuzzFailure",
-    "FuzzReport",
+    "served_result_problems",
     "run_fuzz",
+    "PILLARS",
+    "Pillar",
+    "Sweep",
     "VerifySummary",
     "run_verify",
 ]

@@ -1,19 +1,21 @@
-"""Differential oracle: every engine must reproduce the serial CPU output.
+"""Differential oracles: each pillar runs one subsystem against a trusted
+reference and returns a :class:`~repro.verify.report.PillarReport`.
 
-All five execution schemes share one functional semantics (the chunked
-kernel path); they differ only in *when* data moves and *what* the timeline
-charges. The single-threaded :class:`~repro.engines.cpu_serial.CpuSerialEngine`
-is therefore a trusted oracle: it has no pipeline, no buffers, no overlap —
-nothing that a scheduling bug could corrupt. This module runs the full
-app × engine matrix against that oracle, compares outputs bit-for-bit
-(via each app's ``outputs_equal``, which is exact equality for integer
-outputs and tight-tolerance comparison for accumulated floats), and
-invariant-checks every BigKernel timeline on the side.
+The base pillar is every engine against the serial CPU run. All execution
+schemes share one functional semantics (the chunked kernel path); they
+differ only in *when* data moves and *what* the timeline charges. The
+single-threaded :class:`~repro.engines.cpu_serial.CpuSerialEngine` is
+therefore a trusted oracle: it has no pipeline, no buffers, no overlap —
+nothing that a scheduling bug could corrupt. :func:`run_differential`
+runs the full app × engine matrix against that oracle, compares outputs
+(each app's ``outputs_equal``: exact for integer outputs, tight tolerance
+for accumulated floats), and invariant-checks every BigKernel timeline on
+the side. The other runners hold the fast path, the compiled backend, the
+predictor, the sharded engine and the serving layer to their own oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -22,7 +24,8 @@ from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
 from repro.errors import VerificationError
 from repro.units import MiB
-from repro.verify.invariants import InvariantReport, verify_run
+from repro.verify.invariants import verify_run
+from repro.verify.report import Cell, PillarReport
 
 ORACLE = CpuSerialEngine.name
 
@@ -38,54 +41,6 @@ def describe_output(value) -> str:
     if isinstance(value, (list, tuple)):
         return f"{type(value).__name__}(len={len(value)})"
     return f"{type(value).__name__}={value!r:.60}"
-
-
-@dataclass
-class DiffEntry:
-    """One (app, engine) cell of the differential matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    detail: str = ""
-    sim_time: float = 0.0
-    invariants: Optional[InvariantReport] = None
-
-
-@dataclass
-class DifferentialReport:
-    """Structured outcome of one oracle sweep."""
-
-    oracle: str = ORACLE
-    entries: list[DiffEntry] = field(default_factory=list)
-
-    @property
-    def mismatches(self) -> list[DiffEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        lines = [
-            f"differential vs {self.oracle}: {len(self.entries)} cells, "
-            f"{len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            line = f"  {e.app:12s} x {e.engine:12s} {status}"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"differential mismatch in {named}\n{self.summary()}"
-            )
 
 
 def compare_outputs(app, reference, candidate) -> tuple[bool, str]:
@@ -106,15 +61,17 @@ def run_differential(
     engines: Optional[Iterable] = None,
     check_invariants: bool = True,
     traced_engines: tuple = ("bigkernel",),
-) -> DifferentialReport:
+    title: str = f"differential vs {ORACLE}",
+) -> PillarReport:
     """Run every engine on every app and diff against the serial oracle.
 
-    ``apps``/``engines`` accept instances (defaults: all six apps, all five
+    ``apps``/``engines`` accept instances (defaults: all apps, all
     schemes). Timelines of engines named in ``traced_engines`` additionally
     pass through the invariant checkers when ``check_invariants`` is set
-    (default: BigKernel only; the UVM pillar passes the uvm family); a
-    violated timeline marks the cell as a mismatch even if the output
-    agreed.
+    (default: BigKernel only; the UVM pillar passes the uvm family) and
+    the cell keeps the :class:`~repro.verify.invariants.InvariantReport`
+    under ``values["invariants"]``; a violated timeline marks the cell as
+    a mismatch even if the output agreed.
     """
     config = config or EngineConfig(chunk_bytes=512 * 1024)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
@@ -130,28 +87,27 @@ def run_differential(
     # records none, so those cells run against the DES explicitly
     traced_config = config.with_(fastpath=False) if config.fastpath else config
 
-    report = DifferentialReport()
+    report = PillarReport(title)
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
         ref = oracle.run(app, data, config)
-        report.entries.append(
-            DiffEntry(app.name, oracle.name, True, sim_time=ref.sim_time)
+        report.cells.append(
+            Cell(app.name, oracle.name, values={"sim_time": ref.sim_time})
         )
         for engine in engines:
             if engine is oracle:
                 continue
             wants_trace = check_invariants and engine.name in traced_engines
             res = engine.run(app, data, traced_config if wants_trace else config)
+            cell = Cell(app.name, engine.name, values={"sim_time": res.sim_time})
             ok, detail = compare_outputs(app, ref.output, res.output)
-            inv = None
+            if not ok:
+                cell.fail(detail)
             if wants_trace:
-                inv = verify_run(res, traced_config)
+                inv = cell.values["invariants"] = verify_run(res, traced_config)
                 if not inv.ok:
-                    ok = False
-                    detail = (detail + "; " if detail else "") + inv.summary()
-            report.entries.append(
-                DiffEntry(app.name, engine.name, ok, detail, res.sim_time, inv)
-            )
+                    cell.fail(inv.summary())
+            report.cells.append(cell)
     return report
 
 
@@ -162,58 +118,6 @@ def run_differential(
 #: relative tolerance for timeline comparisons — the fast path is designed
 #: to be bit-identical, so this is purely a guard against future drift
 FASTPATH_TOL = 1e-9
-
-
-@dataclass
-class FastpathEntry:
-    """One (app, engine) cell of the fastpath-vs-des matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    used_fastpath: bool
-    detail: str = ""
-    sim_time_fast: float = 0.0
-    sim_time_des: float = 0.0
-
-
-@dataclass
-class FastpathReport:
-    """Structured outcome of one fastpath-vs-des sweep."""
-
-    entries: list[FastpathEntry] = field(default_factory=list)
-    tol: float = FASTPATH_TOL
-
-    @property
-    def mismatches(self) -> list[FastpathEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fast_cells = sum(1 for e in self.entries if e.used_fastpath)
-        lines = [
-            f"fastpath vs des: {len(self.entries)} cells "
-            f"({fast_cells} took the fast path), "
-            f"{len(self.mismatches)} mismatch(es), tol {self.tol:g}"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "fast" if e.used_fastpath else "des-fallback"
-            line = f"  {e.app:12s} x {e.engine:12s} {status} [{mode}]"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"fastpath-vs-des mismatch in {named}\n{self.summary()}"
-            )
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -251,7 +155,7 @@ def run_fastpath_differential(
     apps: Optional[Iterable] = None,
     engines: Optional[Iterable] = None,
     tol: float = FASTPATH_TOL,
-) -> FastpathReport:
+) -> PillarReport:
     """Run every (app, engine) cell twice — fast path allowed vs DES forced —
     and assert ``sim_time``/``stage_totals``/byte counters/outputs agree.
 
@@ -272,24 +176,27 @@ def run_fastpath_differential(
         list(engines) if engines is not None else [cls() for cls in ALL_ENGINES]
     )
 
-    report = FastpathReport(tol=tol)
+    report = PillarReport(f"fastpath vs des (tol {tol:g})")
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
         for engine in engines:
             fast = engine.run(app, data, fast_config)
             des = engine.run(app, data, des_config)
-            problems = _diff_runs(app, fast, des, tol)
-            report.entries.append(
-                FastpathEntry(
-                    app=app.name,
-                    engine=engine.name,
-                    ok=not problems,
-                    used_fastpath=fast.trace is None and des.trace is not None,
-                    detail="; ".join(problems),
-                    sim_time_fast=fast.sim_time,
-                    sim_time_des=des.sim_time,
-                )
+            cell = Cell(
+                app.name,
+                engine.name,
+                values={
+                    "used_fastpath": fast.trace is None and des.trace is not None,
+                    "sim_time_fast": fast.sim_time,
+                    "sim_time_des": des.sim_time,
+                },
             )
+            for problem in _diff_runs(app, fast, des, tol):
+                cell.fail(problem)
+            report.cells.append(cell)
+    report.counts["took the fast path"] = sum(
+        c.values["used_fastpath"] for c in report.cells
+    )
     return report
 
 
@@ -310,61 +217,6 @@ _STAT_FIELDS = (
     "mapped_read_bytes",
     "mapped_write_bytes",
 )
-
-
-@dataclass
-class CompiledEntry:
-    """One app of the compiled-vs-interpreter sweep."""
-
-    app: str
-    ok: bool
-    compiled: bool
-    #: analysis verdict matched the app's declared ``compiled_expected``
-    expected: bool
-    fallback_reasons: tuple = ()
-    detail: str = ""
-
-
-@dataclass
-class CompiledReport:
-    """Structured outcome of one compiled-vs-interpreter sweep."""
-
-    entries: list[CompiledEntry] = field(default_factory=list)
-    tol: float = COMPILED_TOL
-
-    @property
-    def mismatches(self) -> list[CompiledEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        n_compiled = sum(1 for e in self.entries if e.compiled)
-        lines = [
-            f"compiled vs interpreter: {len(self.entries)} apps "
-            f"({n_compiled} compiled, "
-            f"{len(self.entries) - n_compiled} interpreter-fallback), "
-            f"{len(self.mismatches)} mismatch(es), atol {self.tol:g}"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "compiled" if e.compiled else "fallback"
-            line = f"  {e.app:20s} {status} [{mode}]"
-            if e.fallback_reasons:
-                line += f" — {'; '.join(e.fallback_reasons)}"
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(e.app for e in self.mismatches)
-            raise VerificationError(
-                f"compiled-vs-interpreter mismatch in {named}\n{self.summary()}"
-            )
 
 
 def _clone_app_data(data):
@@ -406,7 +258,7 @@ def run_compiled_differential(
     seed: int = 7,
     apps: Optional[Iterable] = None,
     tol: float = COMPILED_TOL,
-) -> CompiledReport:
+) -> PillarReport:
     """Run every app's kernel through the interpreter and (where the
     vectorizability analysis admits it) the compiled NumPy backend, over
     the same data, and compare outputs, InterpStats counters, and
@@ -431,7 +283,7 @@ def run_compiled_differential(
     from repro.kernelc.slicing import make_addrgen_kernel
 
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
-    report = CompiledReport(tol=tol)
+    report = PillarReport(f"compiled vs interpreter (atol {tol:g})")
     for app in apps:
         base = app.generate(n_bytes=data_bytes, seed=seed)
         data_i = _clone_app_data(base)
@@ -445,26 +297,20 @@ def run_compiled_differential(
         verdict = analyze_vectorizable(
             kernel, vector_fns=vfns, resident_kinds=rkinds
         )
-        expected = verdict.ok == app.compiled_expected
-
+        cell = Cell(
+            app.name,
+            values={"compiled": verdict.ok, "fallback_reasons": verdict.reasons},
+        )
+        report.cells.append(cell)
         if not verdict.ok:
-            report.entries.append(
-                CompiledEntry(
-                    app=app.name,
-                    ok=expected,
-                    compiled=False,
-                    expected=expected,
-                    fallback_reasons=verdict.reasons,
-                    detail=""
-                    if expected
-                    else "analysis rejected a kernel declared compilable",
+            if app.compiled_expected:
+                cell.fail(
+                    "analysis rejected a kernel declared compilable: "
+                    + "; ".join(verdict.reasons)
                 )
-            )
             continue
-
-        problems: list[str] = []
-        if not expected:
-            problems.append("analysis admitted a kernel declared fallback")
+        if not app.compiled_expected:
+            cell.fail("analysis admitted a kernel declared fallback")
 
         interp = KernelInterpreter(kernel, ctx_i)
         compiled = compile_kernel(
@@ -485,52 +331,40 @@ def run_compiled_differential(
             tol,
         )
         if not ok_out:
-            problems.append(detail)
+            cell.fail(detail)
         for f in _STAT_FIELDS:
             a, b = getattr(interp.stats, f), getattr(cstats, f)
             if a != b:
-                problems.append(f"stats.{f} {a} != {b}")
+                cell.fail(f"stats.{f} {a} != {b}")
 
         try:
             ag_kernel = make_addrgen_kernel(kernel)
         except SlicingError:
-            ag_kernel = None
-        if ag_kernel is not None:
-            ag_verdict = analyze_vectorizable(
-                ag_kernel, vector_fns=vfns, resident_kinds=rkinds
-            )
-            if ag_verdict.ok:
-                ctx_ai = app.make_ir_context(_clone_app_data(base))
-                ctx_ac = app.make_ir_context(_clone_app_data(base))
-                if "pass_idx" in ag_kernel.params:
-                    ctx_ai.params["pass_idx"] = 0
-                    ctx_ac.params["pass_idx"] = 0
-                ag_i = KernelInterpreter(ag_kernel, ctx_ai)
-                ag_i.run_thread(0, 0, n)
-                ag_c = compile_kernel(
-                    ag_kernel, vector_fns=vfns, resident_kinds=rkinds
-                )
-                run = ag_c.run_range(ctx_ac, 0, n)
-                r_i = np.asarray(
-                    [r.offset for r in ag_i.read_addresses], dtype=np.int64
-                )
-                w_i = np.asarray(
-                    [r.offset for r in ag_i.write_addresses], dtype=np.int64
-                )
-                if not np.array_equal(run.read_offsets(), r_i):
-                    problems.append("read address stream diverged")
-                if not np.array_equal(run.write_offsets(), w_i):
-                    problems.append("write address stream diverged")
-
-        report.entries.append(
-            CompiledEntry(
-                app=app.name,
-                ok=not problems,
-                compiled=True,
-                expected=expected,
-                detail="; ".join(problems),
-            )
+            continue
+        ag_verdict = analyze_vectorizable(
+            ag_kernel, vector_fns=vfns, resident_kinds=rkinds
         )
+        if not ag_verdict.ok:
+            continue
+        ctx_ai = app.make_ir_context(_clone_app_data(base))
+        ctx_ac = app.make_ir_context(_clone_app_data(base))
+        if "pass_idx" in ag_kernel.params:
+            ctx_ai.params["pass_idx"] = 0
+            ctx_ac.params["pass_idx"] = 0
+        ag_i = KernelInterpreter(ag_kernel, ctx_ai)
+        ag_i.run_thread(0, 0, n)
+        ag_c = compile_kernel(ag_kernel, vector_fns=vfns, resident_kinds=rkinds)
+        run = ag_c.run_range(ctx_ac, 0, n)
+        r_i = np.asarray([r.offset for r in ag_i.read_addresses], dtype=np.int64)
+        w_i = np.asarray([r.offset for r in ag_i.write_addresses], dtype=np.int64)
+        if not np.array_equal(run.read_offsets(), r_i):
+            cell.fail("read address stream diverged")
+        if not np.array_equal(run.write_offsets(), w_i):
+            cell.fail("write address stream diverged")
+
+    n_compiled = sum(c.values["compiled"] for c in report.cells)
+    report.counts["compiled"] = n_compiled
+    report.counts["interpreter-fallback"] = len(report.cells) - n_compiled
     return report
 
 
@@ -545,69 +379,8 @@ def run_compiled_differential(
 ANALYTIC_TOL = 5e-2
 
 
-@dataclass
-class AnalyticEntry:
-    """One (app, engine, geometry) cell of the predictor-vs-DES matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    predicted: float = 0.0
-    simulated: float = 0.0
-    fuzzed: bool = False
-    detail: str = ""
-
-    @property
-    def rel_err(self) -> float:
-        scale = max(abs(self.simulated), 1e-300)
-        return abs(self.predicted - self.simulated) / scale
-
-
-@dataclass
-class AnalyticReport:
-    """Structured outcome of one predictor-vs-DES sweep."""
-
-    entries: list[AnalyticEntry] = field(default_factory=list)
-    tol: float = ANALYTIC_TOL
-
-    @property
-    def mismatches(self) -> list[AnalyticEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def worst(self) -> float:
-        return max((e.rel_err for e in self.entries), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fuzz_cells = sum(1 for e in self.entries if e.fuzzed)
-        lines = [
-            f"analytic vs des: {len(self.entries)} cells "
-            f"({fuzz_cells} fuzzed geometries), "
-            f"{len(self.mismatches)} over tolerance, "
-            f"worst rel err {self.worst:.2e} (tol {self.tol:g})"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "OVER-TOL"
-            mode = "fuzz" if e.fuzzed else "clean"
-            line = (
-                f"  {e.app:12s} x {e.engine:12s} {status} [{mode}] "
-                f"rel {e.rel_err:.2e}"
-            )
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"analytic-vs-des over tolerance in {named}\n{self.summary()}"
-            )
+def _rel_err(predicted: float, actual: float) -> float:
+    return abs(predicted - actual) / max(abs(actual), 1e-300)
 
 
 def run_analytic_differential(
@@ -617,7 +390,7 @@ def run_analytic_differential(
     apps: Optional[Iterable] = None,
     tol: float = ANALYTIC_TOL,
     fuzz_iterations: int = 8,
-) -> AnalyticReport:
+) -> PillarReport:
     """Validate the closed-form predictor against the DES.
 
     Two phases. The *clean matrix* prices every app on every predictable
@@ -644,27 +417,30 @@ def run_analytic_differential(
         app.name: app.generate(n_bytes=data_bytes, seed=seed) for app in apps
     }
 
-    report = AnalyticReport(tol=tol)
+    report = PillarReport(f"analytic vs des (tol {tol:g})")
 
-    def check(app, engine_name, cfg, fuzzed, detail=""):
+    def check(app, engine_name, cfg, geometry=""):
         data = datasets[app.name]
         predicted = predict_run(app, data, cfg, engine=engine_name).sim_time
         simulated = resolve_engine(engine_name).run(app, data, cfg).sim_time
-        entry = AnalyticEntry(
-            app=app.name,
-            engine=engine_name,
-            ok=True,
-            predicted=predicted,
-            simulated=simulated,
-            fuzzed=fuzzed,
-            detail=detail,
+        rel_err = _rel_err(predicted, simulated)
+        cell = Cell(
+            app.name,
+            engine_name,
+            values={
+                "predicted": predicted,
+                "simulated": simulated,
+                "rel_err": rel_err,
+                "fuzzed": bool(geometry),
+            },
         )
-        entry.ok = entry.rel_err <= tol
-        report.entries.append(entry)
+        if not rel_err <= tol:
+            cell.fail(f"rel err {rel_err:.2e} > {tol:g} {geometry}".rstrip())
+        report.cells.append(cell)
 
     for app in apps:
         for engine_name in PREDICTABLE_ENGINES:
-            check(app, engine_name, config, fuzzed=False)
+            check(app, engine_name, config)
 
     rng = random.Random(f"analytic-{seed}")
     for _ in range(fuzz_iterations):
@@ -680,12 +456,15 @@ def run_analytic_differential(
             app,
             engine_name,
             cfg,
-            fuzzed=True,
-            detail=(
-                f"cb={cfg.chunk_bytes // 1024}K nb={cfg.num_blocks} "
+            geometry=(
+                f"at cb={cfg.chunk_bytes // 1024}K nb={cfg.num_blocks} "
                 f"rd={cfg.ring_depth} ct={cfg.compute_threads}"
             ),
         )
+    report.counts["fuzzed geometries"] = fuzz_iterations
+    report.counts["worst rel err"] = max(
+        (c.values["rel_err"] for c in report.cells), default=0.0
+    )
     return report
 
 
@@ -708,73 +487,6 @@ MULTIGPU_DEDICATED_TOL = 5e-3
 MULTIGPU_SHARED_TOL = 1e-1
 
 
-@dataclass
-class MultiGpuEntry:
-    """One (app, fabric) cell of the multi-GPU differential matrix."""
-
-    app: str
-    engine: str
-    ok: bool
-    detail: str = ""
-    sim_time: float = 0.0
-    #: shard traces audited in this cell
-    shards: int = 0
-    predicted: float = 0.0
-    fuzzed: bool = False
-
-    @property
-    def rel_err(self) -> float:
-        """Analytic shard prediction vs the DES total."""
-        scale = max(abs(self.sim_time), 1e-300)
-        return abs(self.predicted - self.sim_time) / scale
-
-
-@dataclass
-class MultiGpuReport:
-    """Structured outcome of one multi-GPU differential sweep."""
-
-    oracle: str = ORACLE
-    entries: list[MultiGpuEntry] = field(default_factory=list)
-
-    @property
-    def mismatches(self) -> list[MultiGpuEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def shards_audited(self) -> int:
-        return sum(e.shards for e in self.entries)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        fuzz_cells = sum(1 for e in self.entries if e.fuzzed)
-        lines = [
-            f"multigpu vs {self.oracle}: {len(self.entries)} cells "
-            f"({fuzz_cells} fuzzed fabrics, {self.shards_audited} shard "
-            f"traces audited), {len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.entries:
-            status = "ok" if e.ok else "MISMATCH"
-            mode = "fuzz" if e.fuzzed else "clean"
-            line = (
-                f"  {e.app:12s} x {e.engine:32s} {status} [{mode}] "
-                f"rel {e.rel_err:.2e}"
-            )
-            if e.detail:
-                line += f" — {e.detail}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(f"({e.app}, {e.engine})" for e in self.mismatches)
-            raise VerificationError(
-                f"multigpu differential mismatch in {named}\n{self.summary()}"
-            )
-
-
 def run_multigpu_differential(
     data_bytes: int = 2 * MiB,
     seed: int = 7,
@@ -783,7 +495,7 @@ def run_multigpu_differential(
     gpu_counts: Iterable[int] = (1, 2, 4),
     tol: float = MULTIGPU_SHARED_TOL,
     fuzz_iterations: int = 4,
-) -> MultiGpuReport:
+) -> PillarReport:
     """Validate the sharded scale-out engine against the serial oracle.
 
     Two phases, mirroring the analytic suite. The *clean matrix* runs
@@ -820,7 +532,7 @@ def run_multigpu_differential(
     config = config.with_(fastpath=False)
     apps = list(apps) if apps is not None else [cls() for cls in ALL_APPS]
     oracle = CpuSerialEngine()
-    report = MultiGpuReport()
+    report = PillarReport(f"multigpu vs {ORACLE}")
 
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
@@ -829,51 +541,46 @@ def run_multigpu_differential(
             for shared in (False,) if n == 1 else (False, True):
                 eng = MultiGpuBigKernelEngine(n, shared_link=shared)
                 res = eng.run(app, data, config)
-                ok, detail = compare_outputs(app, ref.output, res.output)
-                problems = [detail] if detail else []
-                problems += audit_sharded_run(res)
-                entry = MultiGpuEntry(
-                    app=app.name,
-                    engine=eng.name,
-                    ok=True,
-                    sim_time=res.sim_time,
-                    shards=len(res.shard_details or ()),
-                    predicted=predict_run(app, data, config, eng).sim_time,
+                predicted = predict_run(app, data, config, eng).sim_time
+                rel_err = _rel_err(predicted, res.sim_time)
+                cell = Cell(
+                    app.name,
+                    eng.name,
+                    values={
+                        "sim_time": res.sim_time,
+                        "shards": len(res.shard_details or ()),
+                        "rel_err": rel_err,
+                        "fuzzed": False,
+                    },
                 )
+                ok, detail = compare_outputs(app, ref.output, res.output)
+                if not ok:
+                    cell.fail(detail)
+                for problem in audit_sharded_run(res):
+                    cell.fail(problem)
                 cell_tol = tol if shared else MULTIGPU_DEDICATED_TOL
-                if entry.rel_err > cell_tol:
-                    problems.append(
-                        f"analytic rel err {entry.rel_err:.2e} > {cell_tol:g}"
-                    )
-                entry.ok = not problems
-                entry.detail = "; ".join(problems)
-                report.entries.append(entry)
+                if not rel_err <= cell_tol:
+                    cell.fail(f"analytic rel err {rel_err:.2e} > {cell_tol:g}")
+                report.cells.append(cell)
 
     for case in range(fuzz_iterations):
         rng = random.Random(f"multigpu-{seed}-{case}")
         try:
-            drawn = check_multigpu_differential(rng)
-            report.entries.append(
-                MultiGpuEntry(
-                    app=drawn["app"],
-                    engine=drawn["engine"],
-                    ok=True,
-                    sim_time=drawn["sim_time"],
-                    shards=drawn["shards"],
-                    predicted=drawn["sim_time"] * (1 + drawn["rel_err"]),
-                    fuzzed=True,
-                )
-            )
+            report.cells.append(check_multigpu_differential(rng))
         except VerificationError as exc:
-            report.entries.append(
-                MultiGpuEntry(
-                    app="(fuzz)",
-                    engine=f"seed {seed} case {case}",
+            report.cells.append(
+                Cell(
+                    "(fuzz)",
+                    f"seed {seed} case {case}",
                     ok=False,
                     detail=str(exc),
-                    fuzzed=True,
+                    values={"shards": 0, "fuzzed": True},
                 )
             )
+    report.counts["fuzzed fabrics"] = fuzz_iterations
+    report.counts["shard traces audited"] = sum(
+        c.values["shards"] for c in report.cells
+    )
     return report
 
 
@@ -895,63 +602,29 @@ def _bit_equal(a, b) -> bool:
     return bool(a == b)
 
 
-@dataclass
-class ServeEntry:
-    """One served request graded against its one-shot oracle."""
+def served_result_problems(job, result, oracles: dict) -> list[str]:
+    """What separates a served ``result`` of ``job`` from its fresh one-shot
+    oracle: ``sim_time`` must be exactly equal and, for functional jobs,
+    the output bit-equal (:func:`_bit_equal`, rtol 0). ``oracles`` memoizes
+    the oracle runs per (dataset, engine, config). Empty when they agree.
 
-    req_id: int
-    tenant: str
-    app: str
-    engine: str
-    status: str
-    ok: bool
-    detail: str = ""
+    The one check behind both ``repro serve --verify`` and the serve pillar.
+    """
+    from repro.serve.scheduler import oneshot_oracle
 
-
-@dataclass
-class ServeReport:
-    """Structured outcome of one serve-vs-one-shot sweep."""
-
-    entries: list[ServeEntry] = field(default_factory=list)
-    cached: int = 0
-    coalesced: int = 0
-    served: int = 0
-    engine_runs: int = 0
-    #: typed SLO terminals from the overloaded phase (shed + predicted
-    #: rejections) — not mismatches, but accounted and type-checked
-    shed: int = 0
-    rejected: int = 0
-
-    @property
-    def mismatches(self) -> list[ServeEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def summary(self) -> str:
-        lines = [
-            f"serve vs one-shot: {len(self.entries)} grades "
-            f"({self.served} served, {self.coalesced} coalesced, "
-            f"{self.cached} cached; {self.engine_runs} engine runs; "
-            f"slo phase shed {self.shed}, rejected {self.rejected}), "
-            f"{len(self.mismatches)} mismatch(es)"
-        ]
-        for e in self.mismatches:
-            lines.append(
-                f"  req {e.req_id} [{e.tenant}] {e.app} x {e.engine} "
-                f"({e.status}) MISMATCH — {e.detail}"
-            )
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            named = ", ".join(str(e.req_id) for e in self.mismatches)
-            raise VerificationError(
-                f"serve differential mismatch in request(s) {named}\n"
-                f"{self.summary()}"
-            )
+    key = (job.dataset, job.engine, job.config)
+    oracle = oracles.get(key)
+    if oracle is None:
+        oracle = oracles[key] = oneshot_oracle(job)
+    problems = []
+    if result.sim_time != oracle.sim_time:
+        problems.append(f"sim_time {result.sim_time!r} != {oracle.sim_time!r}")
+    if job.config.functional and not _bit_equal(result.output, oracle.output):
+        problems.append(
+            f"output {describe_output(result.output)} != "
+            f"{describe_output(oracle.output)}"
+        )
+    return problems
 
 
 def run_serve_differential(
@@ -959,7 +632,7 @@ def run_serve_differential(
     seed: int = 7,
     duration: float = 2.0,
     rate: float = 25.0,
-) -> ServeReport:
+) -> PillarReport:
     """Serve a short seeded trace and bit-compare every response.
 
     A repeat-heavy multi-tenant trace goes through a live
@@ -967,10 +640,11 @@ def run_serve_differential(
     (run cache, batch coalescing, shared datasets, engine memos); then
     *every* completed response — served, coalesced, or cached alike — is
     compared against a fresh one-shot oracle (new app, newly generated
-    dataset, new engine, no caches) for that exact job. ``sim_time`` must
-    be exactly equal and outputs bit-equal with zero tolerance. The queue
-    is sized above the trace so nothing is rejected: in this pillar a
-    rejection or a failure is itself a mismatch.
+    dataset, new engine, no caches) for that exact job
+    (:func:`served_result_problems`). The queue is sized above the trace
+    so nothing is rejected: in this pillar a rejection or a failure is
+    itself a mismatch, and so is a clean phase in which the run cache
+    never answered (a serving layer that never amortizes is a bug too).
 
     A second, *overloaded* phase then replays the same trace compressed
     into a burst with every tenant carrying a tight SLO (derived from the
@@ -989,7 +663,6 @@ def run_serve_differential(
         Server,
         TraceSpec,
         generate_trace,
-        oneshot_oracle,
         scale_trace,
         serve_trace,
         with_slo,
@@ -1006,72 +679,44 @@ def run_serve_differential(
 
     jobs = {req.req_id: (req.tenant, req.job) for req in trace}
     oracles: dict = {}
-    report = ServeReport(
-        cached=outcome.metrics.cached,
-        coalesced=outcome.metrics.coalesced,
-        served=outcome.metrics.served,
-        engine_runs=outcome.metrics.engine_runs,
-    )
-    def grade(resp, phase: str, slo_phase: bool) -> None:
+    report = PillarReport("serve vs one-shot")
+
+    def grade(resp, phase: str) -> None:
         tenant, job = jobs[resp.req_id]
-        entry = ServeEntry(
-            req_id=resp.req_id,
-            tenant=tenant,
-            app=job.dataset.app,
-            engine=job.engine.name,
-            status=f"{phase}:{resp.status}",
-            ok=True,
+        cell = Cell(
+            f"req {resp.req_id} [{tenant}] {job.dataset.app} x "
+            f"{job.engine.name} ({phase}:{resp.status})"
         )
-        if resp.status in ("rejected", "failed", "shed"):
-            if not slo_phase:
-                # phase 1 is sized so nothing is rejected or dropped
-                entry.ok = False
-                entry.detail = resp.error or f"request {resp.status}"
-            elif resp.status == "failed":
-                entry.ok = False
-                entry.detail = resp.error or "request failed"
-            elif resp.status == "shed":
-                report.shed += 1
-                if not isinstance(resp.exception, SloViolationError):
-                    entry.ok = False
-                    entry.detail = (
-                        "shed response lacks a typed SloViolationError"
-                    )
-            else:
-                report.rejected += 1
-                queue_full = resp.error == "queue full"
-                typed = isinstance(resp.exception, SloViolationError)
-                if not (queue_full or typed):
-                    entry.ok = False
-                    entry.detail = (
-                        "rejection is neither queue-full nor a typed "
-                        "SloViolationError"
-                    )
+        if resp.status == "failed" or (
+            # the open phase is sized so nothing is rejected or dropped
+            phase == "open" and resp.status in ("rejected", "shed")
+        ):
+            cell.fail(resp.error or f"request {resp.status}")
+        elif resp.status == "shed":
+            if not isinstance(resp.exception, SloViolationError):
+                cell.fail("shed response lacks a typed SloViolationError")
+        elif resp.status == "rejected":
+            queue_full = resp.error == "queue full"
+            if not (queue_full or isinstance(resp.exception, SloViolationError)):
+                cell.fail(
+                    "rejection is neither queue-full nor a typed "
+                    "SloViolationError"
+                )
         else:
-            key = (job.dataset, job.engine, job.config)
-            oracle = oracles.get(key)
-            if oracle is None:
-                oracle = oracles[key] = oneshot_oracle(job)
-            problems = []
-            if resp.result.sim_time != oracle.sim_time:
-                problems.append(
-                    f"sim_time {resp.result.sim_time!r} != "
-                    f"{oracle.sim_time!r}"
-                )
-            if job.config.functional and not _bit_equal(
-                resp.result.output, oracle.output
-            ):
-                problems.append(
-                    f"output {describe_output(resp.result.output)} != "
-                    f"{describe_output(oracle.output)}"
-                )
-            if problems:
-                entry.ok = False
-                entry.detail = "; ".join(problems)
-        report.entries.append(entry)
+            for problem in served_result_problems(job, resp.result, oracles):
+                cell.fail(problem)
+        report.cells.append(cell)
 
     for resp in outcome.responses:
-        grade(resp, "open", slo_phase=False)
+        grade(resp, "open")
+    if not outcome.metrics.cached:
+        report.cells.append(
+            Cell(
+                "open:run-cache",
+                ok=False,
+                detail="no response of the clean phase came from the run cache",
+            )
+        )
 
     # --- phase 2: burst overload with tight SLOs through EDF + admission ---
     mean_service = outcome.makespan / max(outcome.metrics.completed, 1)
@@ -1087,21 +732,16 @@ def run_serve_differential(
         cache=RunCache(disk=None),
     ) as server:
         slo_outcome = serve_trace(server, scale_trace(trace, 1e-3))
-    report.engine_runs += slo_outcome.metrics.engine_runs
     for resp in slo_outcome.responses:
-        grade(resp, "slo", slo_phase=True)
+        grade(resp, "slo")
 
     m = slo_outcome.metrics
     if m.submitted != m.admitted + m.rejected or m.admitted != (
         m.completed + m.failed + m.shed
     ):
-        report.entries.append(
-            ServeEntry(
-                req_id=-1,
-                tenant="*",
-                app="*",
-                engine="*",
-                status="slo:accounting",
+        report.cells.append(
+            Cell(
+                "slo:accounting",
                 ok=False,
                 detail=(
                     f"identity violated: submitted={m.submitted} "
@@ -1111,4 +751,15 @@ def run_serve_differential(
                 ),
             )
         )
+    slo_status = [r.status for r in slo_outcome.responses]
+    report.counts.update(
+        {
+            "served": outcome.metrics.served,
+            "coalesced": outcome.metrics.coalesced,
+            "cached": outcome.metrics.cached,
+            "engine runs": outcome.metrics.engine_runs + m.engine_runs,
+            "shed in slo phase": slo_status.count("shed"),
+            "rejected in slo phase": slo_status.count("rejected"),
+        }
+    )
     return report

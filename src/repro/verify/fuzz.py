@@ -28,13 +28,14 @@ explores the same space more aggressively when it is installed):
   per-shard byte ledgers reconcile, and the analytic shard model prices
   the run within tolerance.
 
-:func:`run_fuzz` bundles the loops into a :class:`FuzzReport`.
+:func:`run_fuzz` bundles the IR, pipeline and UVM loops into one
+:class:`~repro.verify.report.PillarReport` (the multi-GPU fabrics run in
+:func:`~repro.verify.differential.run_multigpu_differential`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,6 +63,7 @@ from repro.kernelc.transform import make_databuf_kernel
 from repro.kernelc.validate import validate_kernel
 from repro.runtime.pipeline import ChunkWork, PipelineConfig, run_pipeline
 from repro.verify.invariants import verify_pipeline_trace
+from repro.verify.report import Cell, PillarReport
 
 SCHEMA = RecordSchema.packed(
     [("a", "f8"), ("b", "i4"), ("c", "i4"), ("d", "f8")], record_size=32
@@ -72,58 +74,6 @@ READ_FIELDS = ("a", "b", "d")
 N_RECORDS = 12
 ACC_SIZE = 8
 TMP_NAMES = ("t0", "t1", "t2")
-
-
-@dataclass
-class FuzzFailure:
-    """One failing fuzz case, reproducible from (kind, seed, case)."""
-
-    kind: str  # "ir" | "pipeline" | "uvm" | "multigpu"
-    seed: int
-    case: int
-    message: str
-    program: str = ""
-
-    def __str__(self) -> str:
-        head = f"[{self.kind} seed={self.seed} case={self.case}] {self.message}"
-        return head + (f"\n{self.program}" if self.program else "")
-
-
-@dataclass
-class FuzzReport:
-    """Outcome of one fuzz run."""
-
-    seed: int = 0
-    ir_cases: int = 0
-    ir_sliced: int = 0
-    #: IR cases the vectorized backend admitted (and matched exactly)
-    ir_compiled: int = 0
-    pipeline_cases: int = 0
-    uvm_cases: int = 0
-    multigpu_cases: int = 0
-    failures: list[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        lines = [
-            f"fuzz seed={self.seed}: {self.ir_cases} IR case(s) "
-            f"({self.ir_sliced} sliced, {self.ir_compiled} compiled), "
-            f"{self.pipeline_cases} pipeline case(s), "
-            f"{self.uvm_cases} uvm case(s), "
-            f"{self.multigpu_cases} multigpu case(s), "
-            f"{len(self.failures)} failure(s)"
-        ]
-        lines += [f"  {f}" for f in self.failures[:10]]
-        if len(self.failures) > 10:
-            lines.append(f"  ... and {len(self.failures) - 10} more")
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if self.failures:
-            raise VerificationError(self.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +426,7 @@ def check_uvm_differential(rng: random.Random) -> None:
 # random multi-gpu fabrics
 # ---------------------------------------------------------------------------
 
-def check_multigpu_differential(rng: random.Random) -> dict:
+def check_multigpu_differential(rng: random.Random) -> Cell:
     """One random sharded fabric against the serial oracle.
 
     Draws the GPU count, link topology (dedicated per-GPU links vs one
@@ -485,8 +435,8 @@ def check_multigpu_differential(rng: random.Random) -> dict:
     match ``cpu_serial`` bit-for-bit, every shard's trace must pass the
     full pipeline invariant battery with the per-shard byte ledgers
     summing to the run's counters, and the closed-form shard predictor
-    must price the run within the analytic tolerance. Returns a small
-    description of the drawn cell for reporting.
+    must price the run within the analytic tolerance. Returns the drawn
+    cell for the multi-GPU pillar's report.
     """
     from repro.analytic import predict_run
     from repro.apps import get_app
@@ -537,68 +487,73 @@ def check_multigpu_differential(rng: random.Random) -> dict:
             f"for {engine.name} on {app.name} "
             f"(chunk={config.chunk_bytes // KiB}K rd={config.ring_depth})"
         )
-    return {
-        "app": app.name,
-        "engine": engine.name,
-        "sim_time": res.sim_time,
-        "shards": len(res.shard_details),
-        "rel_err": rel_err,
-    }
+    return Cell(
+        app.name,
+        engine.name,
+        values={
+            "sim_time": res.sim_time,
+            "shards": len(res.shard_details),
+            "rel_err": rel_err,
+            "fuzzed": True,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
+def _case_cell(kind: str, seed: int, index: int, problem: Optional[str]) -> Cell:
+    """One fuzz case; a failure's detail leads with its reproducer."""
+    cell = Cell(kind, f"case {index}")
+    if problem is not None:
+        cell.fail(f"[{kind} seed={seed} case={index}] {problem}")
+    return cell
+
+
 def run_fuzz(
     ir_iterations: int = 25,
     pipeline_iterations: int = 25,
     seed: int = 0,
     uvm_iterations: int = 10,
-    multigpu_iterations: int = 0,
-) -> FuzzReport:
-    """Run the fuzz loops; failures carry the reproducing (seed, case)."""
-    report = FuzzReport(seed=seed)
-    for case in range(ir_iterations):
+) -> PillarReport:
+    """Run the fuzz loops, one cell per case. A failed cell's detail
+    carries the reproducing ``[kind seed= case=]`` and, for IR cases, the
+    rendered program."""
+    report = PillarReport(f"fuzz seed={seed}")
+    sliced = compiled = 0
+    for index in range(ir_iterations):
         # string seeds hash via sha512 — stable across interpreter runs
-        rng = random.Random(f"ir-{seed}-{case}")
+        rng = random.Random(f"ir-{seed}-{index}")
         kernel: Optional[Kernel] = None
+        problem = None
         try:
             kernel = random_kernel(rng)
-            if check_kernel_roundtrip(kernel, data_seed=seed + case):
-                report.ir_sliced += 1
-            if check_kernel_compiled(kernel, data_seed=seed + case):
-                report.ir_compiled += 1
+            sliced += check_kernel_roundtrip(kernel, data_seed=seed + index)
+            compiled += check_kernel_compiled(kernel, data_seed=seed + index)
         except VerificationError as exc:
-            report.failures.append(
-                FuzzFailure(
-                    "ir",
-                    seed,
-                    case,
-                    str(exc),
-                    render_kernel(kernel) if kernel is not None else "",
-                )
-            )
-        report.ir_cases += 1
-    for case in range(pipeline_iterations):
-        rng = random.Random(f"pipeline-{seed}-{case}")
-        try:
-            check_pipeline_case(rng)
-        except VerificationError as exc:
-            report.failures.append(FuzzFailure("pipeline", seed, case, str(exc)))
-        report.pipeline_cases += 1
-    for case in range(uvm_iterations):
-        rng = random.Random(f"uvm-{seed}-{case}")
-        try:
-            check_uvm_differential(rng)
-        except VerificationError as exc:
-            report.failures.append(FuzzFailure("uvm", seed, case, str(exc)))
-        report.uvm_cases += 1
-    for case in range(multigpu_iterations):
-        rng = random.Random(f"multigpu-{seed}-{case}")
-        try:
-            check_multigpu_differential(rng)
-        except VerificationError as exc:
-            report.failures.append(FuzzFailure("multigpu", seed, case, str(exc)))
-        report.multigpu_cases += 1
+            problem = str(exc)
+            if kernel is not None:
+                problem += f"\n{render_kernel(kernel)}"
+        report.cells.append(_case_cell("ir", seed, index, problem))
+    for kind, iterations, check in (
+        ("pipeline", pipeline_iterations, check_pipeline_case),
+        ("uvm", uvm_iterations, check_uvm_differential),
+    ):
+        for index in range(iterations):
+            problem = None
+            try:
+                check(random.Random(f"{kind}-{seed}-{index}"))
+            except VerificationError as exc:
+                problem = str(exc)
+            report.cells.append(_case_cell(kind, seed, index, problem))
+    report.counts.update(
+        {
+            "ir": ir_iterations,
+            "ir sliced": sliced,
+            "ir compiled": compiled,
+            "pipeline": pipeline_iterations,
+            "uvm": uvm_iterations,
+        }
+    )
     return report

@@ -1,43 +1,18 @@
 """Orchestration for ``python -m repro verify``: the verification pillars
 in one pass/fail sweep.
 
-1. **Invariant suite** — run BigKernel (aggregate mode) on every app and
-   invariant-check each timeline; also one per-block high-fidelity run.
-2. **Differential suite** — every engine vs the serial oracle on every app.
-3. **UVM differential suite** — the unified-memory engine family
-   (``gpu_uvm``/``uvm_readahead``/``uvm_learned``) vs the serial oracle on
-   every app, each timeline invariant-checked.
-4. **Fuzz suite** — seeded random IR programs, pipeline schedules, and
-   randomized UVM paging configurations.
-5. **Fastpath suite** (``--fastpath``) — every (app, engine) cell run with
-   the analytic steady-state pipeline vs with the DES forced; totals must
-   agree within 1e-9 (see ``docs/performance.md``).
-6. **Compiled suite** (``--compiled``) — every app's kernel run through the
-   vectorized NumPy backend vs the tree-walking interpreter: outputs at
-   1e-9 (rtol 0), InterpStats counters and addr-gen address streams exact,
-   and analysis verdicts matching each app's declared expectation.
-7. **Analytic suite** (``--analytic``) — the closed-form performance
-   predictor (:mod:`repro.analytic`) vs the DES: every app on every
-   predictable engine at the base geometry, plus fuzzed chunk/ring
-   geometries, each cell within 5% relative error (most are exact).
-8. **Multi-GPU suite** (``--multigpu``) — the sharded scale-out engine
-   vs the serial oracle across GPU counts and link topologies: merged
-   outputs bit-equal, every shard's DES trace invariant-checked with
-   byte ledgers reconciled, analytic shard predictions within tolerance,
-   plus fuzzed random fabrics (see ``docs/verification.md``).
-9. **Serve suite** (``--serve``) — a seeded multi-tenant trace through a
-   live server with the full amortization stack (run cache, coalescing,
-   shared datasets); every response — served, coalesced or cached — must
-   bit-equal (rtol 0, exact ``sim_time``) a fresh one-shot oracle run of
-   the same job (see ``docs/serving.md``).
-
-``--quick`` shrinks the datasets and iteration counts to CI scale.
+:data:`PILLARS` is the one list of pillars. Each entry names a pillar,
+says whether it runs by default or only behind its ``--<name>`` flag,
+describes it in one line, and runs it on a :class:`Sweep` (which sizes
+itself for ``--quick``) into a :class:`~repro.verify.report.PillarReport`.
+:func:`run_verify`, the CLI flags and the tier-1 pillar test all read
+this list; ``docs/verification.md`` describes each pillar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.apps import ALL_APPS
 from repro.engines import (
@@ -46,15 +21,11 @@ from repro.engines import (
     CpuSerialEngine,
     EngineConfig,
 )
+from repro.errors import ReproError
 from repro.runtime.pipeline import run_pipeline_per_block
-from repro.units import MiB
+from repro.units import KiB, MiB
 from repro.verify.differential import (
-    AnalyticReport,
-    CompiledReport,
-    DifferentialReport,
-    FastpathReport,
-    MultiGpuReport,
-    ServeReport,
+    ORACLE,
     run_analytic_differential,
     run_compiled_differential,
     run_differential,
@@ -62,220 +33,74 @@ from repro.verify.differential import (
     run_multigpu_differential,
     run_serve_differential,
 )
-from repro.verify.fuzz import FuzzReport, run_fuzz
+from repro.verify.fuzz import run_fuzz
 from repro.verify.invariants import (
     InvariantReport,
     verify_pipeline_trace,
     verify_run,
 )
+from repro.verify.report import Cell, PillarReport
 
 
-@dataclass
-class VerifySummary:
-    """Combined outcome of one verification sweep."""
+@dataclass(frozen=True)
+class Sweep:
+    """What one ``repro verify`` run hands every pillar."""
 
-    invariant_reports: dict = field(default_factory=dict)  # name -> report
-    differential: Optional[DifferentialReport] = None
-    uvm: Optional[DifferentialReport] = None
-    fuzz: Optional[FuzzReport] = None
-    fastpath: Optional[FastpathReport] = None
-    compiled: Optional[CompiledReport] = None
-    analytic: Optional[AnalyticReport] = None
-    multigpu: Optional[MultiGpuReport] = None
-    serve: Optional[ServeReport] = None
+    quick: bool
+    seed: int
+    data_bytes: int
+    config: EngineConfig
+    #: cases per IR and per pipeline fuzz loop
+    fuzz_iterations: int
 
-    @property
-    def ok(self) -> bool:
-        return (
-            all(r.ok for r in self.invariant_reports.values())
-            and (self.differential is None or self.differential.ok)
-            and (self.uvm is None or self.uvm.ok)
-            and (self.fuzz is None or self.fuzz.ok)
-            and (self.fastpath is None or self.fastpath.ok)
-            and (self.compiled is None or self.compiled.ok)
-            and (self.analytic is None or self.analytic.ok)
-            and (self.multigpu is None or self.multigpu.ok)
-            and (self.serve is None or self.serve.ok)
-        )
-
-    def summary(self) -> str:
-        lines = []
-        bad_inv = [n for n, r in self.invariant_reports.items() if not r.ok]
-        lines.append(
-            f"invariants: {len(self.invariant_reports)} timeline(s) checked, "
-            f"{len(bad_inv)} violated"
-        )
-        for name in bad_inv:
-            lines.append(f"  {name}:")
-            lines.extend(
-                "  " + ln for ln in self.invariant_reports[name].summary().splitlines()
-            )
-        if self.differential is not None:
-            lines.append(self.differential.summary())
-        if self.uvm is not None:
-            lines.append("uvm " + self.uvm.summary())
-        if self.fuzz is not None:
-            lines.append(self.fuzz.summary())
-        if self.fastpath is not None:
-            lines.append(self.fastpath.summary())
-        if self.compiled is not None:
-            lines.append(self.compiled.summary())
-        if self.analytic is not None:
-            lines.append(self.analytic.summary())
-        if self.multigpu is not None:
-            lines.append(self.multigpu.summary())
-        if self.serve is not None:
-            lines.append(self.serve.summary())
-        lines.append("verify: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
+    @classmethod
+    def sized(
+        cls,
+        quick: bool = False,
+        seed: int = 7,
+        data_bytes: Optional[int] = None,
+        fuzz_iterations: Optional[int] = None,
+    ) -> "Sweep":
+        """The sweep at ``--quick`` or full scale; explicit sizes win."""
+        data_bytes = data_bytes or (1 * MiB if quick else 4 * MiB)
+        if fuzz_iterations is None:
+            fuzz_iterations = 8 if quick else 30
+        config = EngineConfig(chunk_bytes=max(256 * KiB, data_bytes // 8))
+        return cls(quick, seed, data_bytes, config, fuzz_iterations)
 
 
-def run_verify(
-    quick: bool = False,
-    seed: int = 7,
-    data_bytes: Optional[int] = None,
-    fuzz_iterations: Optional[int] = None,
-    fastpath: bool = False,
-    compiled: bool = False,
-    analytic: bool = False,
-    multigpu: bool = False,
-    serve: bool = False,
-    emit: Callable[[str], None] = print,
-) -> VerifySummary:
-    """Run the full verification sweep; ``emit`` narrates progress.
+@dataclass(frozen=True)
+class Pillar:
+    """One verify pillar: ``run`` grades a :class:`Sweep`."""
 
-    ``fastpath=True`` appends the fastpath-vs-des differential: the full
-    app x engine matrix with the analytic pipeline allowed vs DES forced,
-    asserting the totals agree within 1e-9. ``compiled=True`` appends the
-    compiled-vs-interpreter differential over every app's kernel.
-    ``analytic=True`` appends the closed-form-predictor-vs-DES
-    differential: the clean app x engine matrix plus fuzzed geometries,
-    within 5% relative tolerance per cell. ``multigpu=True`` appends the
-    sharded scale-out differential: every app across GPU counts and link
-    topologies vs the serial oracle, each shard's trace invariant-checked
-    and the analytic shard model held to tolerance, plus fuzzed fabrics.
-    ``serve=True`` appends the serve differential: a seeded multi-tenant
-    trace through a live server, every response bit-compared (rtol 0)
-    against a fresh one-shot oracle of the same job.
-    """
-    data_bytes = data_bytes or (1 * MiB if quick else 4 * MiB)
-    fuzz_n = fuzz_iterations if fuzz_iterations is not None else (8 if quick else 30)
-    uvm_n = 4 if quick else 12
-    config = EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 8))
+    name: str
+    #: runs only when asked for by name (``--<name>`` on the CLI)
+    opt_in: bool
+    description: str
+    run: Callable[[Sweep], PillarReport]
+
+
+def _invariants(s: Sweep) -> PillarReport:
     # the invariant checkers consume full timelines, which the analytic
-    # fast path deliberately skips: pin the DES for pillar 1
-    traced_config = config.with_(fastpath=False)
-    n_pillars = (
-        4 + (1 if fastpath else 0) + (1 if compiled else 0)
-        + (1 if analytic else 0) + (1 if multigpu else 0)
-        + (1 if serve else 0)
-    )
-    pillar = iter(range(5, n_pillars + 1))
-    summary = VerifySummary()
-
-    emit(
-        f"[1/{n_pillars}] invariant suite: BigKernel timelines over "
-        f"{len(ALL_APPS)} apps"
-    )
+    # fast path deliberately skips: pin the DES
+    traced_config = s.config.with_(fastpath=False)
     engine = BigKernelEngine()
+    reports = {}
     for cls in ALL_APPS:
         app = cls()
-        data = app.generate(n_bytes=data_bytes, seed=seed)
+        data = app.generate(n_bytes=s.data_bytes, seed=s.seed)
         res = engine.run(app, data, traced_config)
-        summary.invariant_reports[f"bigkernel/{app.name}"] = verify_run(
-            res, traced_config
-        )
-    summary.invariant_reports["pipeline/per-block"] = _per_block_check(
-        config, engine, seed, data_bytes
+        reports[f"bigkernel/{app.name}"] = verify_run(res, traced_config)
+    reports["pipeline/per-block"] = _per_block_check(
+        s.config, engine, s.seed, s.data_bytes
     )
-
-    emit(f"[2/{n_pillars}] differential suite: engines vs cpu_serial oracle")
-    summary.differential = run_differential(
-        data_bytes=data_bytes, seed=seed, config=config
+    return PillarReport(
+        "invariants",
+        [
+            Cell(name, ok=r.ok, detail="" if r.ok else r.summary())
+            for name, r in reports.items()
+        ],
     )
-
-    emit(
-        f"[3/{n_pillars}] uvm differential suite: paging engines vs "
-        f"cpu_serial oracle, timelines invariant-checked"
-    )
-    uvm_engines = [cls() for cls in UVM_ENGINES]
-    summary.uvm = run_differential(
-        data_bytes=data_bytes,
-        seed=seed,
-        config=config,
-        engines=[CpuSerialEngine()] + uvm_engines,
-        traced_engines=tuple(e.name for e in uvm_engines),
-    )
-
-    emit(
-        f"[4/{n_pillars}] fuzz suite: {fuzz_n} IR + {fuzz_n} pipeline + "
-        f"{uvm_n} uvm cases, seed {seed}"
-    )
-    summary.fuzz = run_fuzz(
-        ir_iterations=fuzz_n, pipeline_iterations=fuzz_n,
-        uvm_iterations=uvm_n, seed=seed,
-    )
-
-    if fastpath:
-        emit(
-            f"[{next(pillar)}/{n_pillars}] fastpath suite: analytic "
-            f"pipeline vs DES, full app x engine matrix"
-        )
-        summary.fastpath = run_fastpath_differential(
-            data_bytes=data_bytes, seed=seed, config=config
-        )
-
-    if compiled:
-        emit(
-            f"[{next(pillar)}/{n_pillars}] compiled suite: vectorized "
-            f"backend vs interpreter over {len(ALL_APPS)} apps"
-        )
-        summary.compiled = run_compiled_differential(
-            data_bytes=data_bytes, seed=seed
-        )
-
-    if analytic:
-        fuzz_geoms = 6 if quick else 12
-        emit(
-            f"[{next(pillar)}/{n_pillars}] analytic suite: closed-form "
-            f"predictor vs DES, clean matrix + {fuzz_geoms} fuzzed "
-            f"geometries"
-        )
-        summary.analytic = run_analytic_differential(
-            data_bytes=data_bytes,
-            seed=seed,
-            config=config,
-            fuzz_iterations=fuzz_geoms,
-        )
-
-    if multigpu:
-        gpu_counts = (1, 2) if quick else (1, 2, 4)
-        fuzz_fabrics = 2 if quick else 5
-        emit(
-            f"[{next(pillar)}/{n_pillars}] multigpu suite: sharded "
-            f"scale-out vs cpu_serial over GPU counts {gpu_counts}, "
-            f"shard traces invariant-checked, + {fuzz_fabrics} fuzzed "
-            f"fabrics"
-        )
-        summary.multigpu = run_multigpu_differential(
-            data_bytes=data_bytes,
-            seed=seed,
-            config=config,
-            gpu_counts=gpu_counts,
-            fuzz_iterations=fuzz_fabrics,
-        )
-
-    if serve:
-        duration = 1.5 if quick else 3.0
-        emit(
-            f"[{next(pillar)}/{n_pillars}] serve suite: {duration:g}s "
-            f"multi-tenant trace through a live server, every response "
-            f"vs its one-shot oracle"
-        )
-        summary.serve = run_serve_differential(
-            data_bytes=min(data_bytes, 1 * MiB), seed=seed, duration=duration
-        )
-    return summary
 
 
 def _per_block_check(
@@ -298,3 +123,139 @@ def _per_block_check(
         bytes_h2d=result.bytes_h2d,
         bytes_d2h=result.bytes_d2h,
     )
+
+
+def _uvm(s: Sweep) -> PillarReport:
+    uvm_engines = [cls() for cls in UVM_ENGINES]
+    return run_differential(
+        data_bytes=s.data_bytes,
+        seed=s.seed,
+        config=s.config,
+        engines=[CpuSerialEngine()] + uvm_engines,
+        traced_engines=tuple(e.name for e in uvm_engines),
+        title=f"uvm differential vs {ORACLE}",
+    )
+
+
+def _multigpu(s: Sweep) -> PillarReport:
+    return run_multigpu_differential(
+        data_bytes=s.data_bytes,
+        seed=s.seed,
+        config=s.config,
+        gpu_counts=(1, 2) if s.quick else (1, 2, 4),
+        fuzz_iterations=2 if s.quick else 5,
+    )
+
+
+PILLARS: tuple[Pillar, ...] = (
+    Pillar(
+        "invariants", False,
+        "BigKernel timelines over every app plus one per-block run, "
+        "through every invariant checker",
+        _invariants,
+    ),
+    Pillar(
+        "differential", False,
+        f"every engine vs the {ORACLE} oracle on every app",
+        lambda s: run_differential(
+            data_bytes=s.data_bytes, seed=s.seed, config=s.config
+        ),
+    ),
+    Pillar(
+        "uvm", False,
+        f"the paging engines vs the {ORACLE} oracle, timelines "
+        "invariant-checked",
+        _uvm,
+    ),
+    Pillar(
+        "fuzz", False,
+        "seeded random IR programs, pipeline schedules and UVM paging "
+        "configurations",
+        lambda s: run_fuzz(
+            ir_iterations=s.fuzz_iterations,
+            pipeline_iterations=s.fuzz_iterations,
+            uvm_iterations=4 if s.quick else 12,
+            seed=s.seed,
+        ),
+    ),
+    Pillar(
+        "fastpath", True,
+        "the analytic steady-state pipeline vs the DES on the full "
+        "app x engine matrix",
+        lambda s: run_fastpath_differential(
+            data_bytes=s.data_bytes, seed=s.seed, config=s.config
+        ),
+    ),
+    Pillar(
+        "compiled", True,
+        "the vectorized kernel backend vs the tree-walking interpreter on "
+        "every app",
+        lambda s: run_compiled_differential(data_bytes=s.data_bytes, seed=s.seed),
+    ),
+    Pillar(
+        "analytic", True,
+        "the closed-form predictor vs the DES on the clean matrix plus "
+        "fuzzed geometries",
+        lambda s: run_analytic_differential(
+            data_bytes=s.data_bytes,
+            seed=s.seed,
+            config=s.config,
+            fuzz_iterations=6 if s.quick else 12,
+        ),
+    ),
+    Pillar(
+        "multigpu", True,
+        f"the sharded scale-out engine vs the {ORACLE} oracle over GPU "
+        "counts and fuzzed fabrics, shard traces invariant-checked",
+        _multigpu,
+    ),
+    Pillar(
+        "serve", True,
+        "a seeded multi-tenant trace through a live server, every response "
+        "bit-equal to its one-shot oracle",
+        lambda s: run_serve_differential(
+            data_bytes=min(s.data_bytes, 1 * MiB),
+            seed=s.seed,
+            duration=1.5 if s.quick else 3.0,
+        ),
+    ),
+)
+
+
+@dataclass
+class VerifySummary:
+    """Combined outcome of one verification sweep, by pillar name."""
+
+    reports: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.reports.values())
+
+    def summary(self) -> str:
+        lines = [r.summary() for r in self.reports.values()]
+        lines.append("verify: " + ("PASS" if self.ok else "FAIL"))
+        return "\n".join(lines)
+
+
+def run_verify(
+    quick: bool = False,
+    seed: int = 7,
+    data_bytes: Optional[int] = None,
+    fuzz_iterations: Optional[int] = None,
+    opt_in: Iterable[str] = (),
+    emit: Callable[[str], None] = print,
+) -> VerifySummary:
+    """Run every default pillar plus the opt-in pillars named in
+    ``opt_in``, in :data:`PILLARS` order; ``emit`` narrates progress."""
+    opt_in = set(opt_in)
+    unknown = opt_in - {p.name for p in PILLARS if p.opt_in}
+    if unknown:
+        raise ReproError(f"unknown opt-in pillar(s): {sorted(unknown)}")
+    sweep = Sweep.sized(quick, seed, data_bytes, fuzz_iterations)
+    selected = [p for p in PILLARS if not p.opt_in or p.name in opt_in]
+    summary = VerifySummary()
+    for i, pillar in enumerate(selected, 1):
+        emit(f"[{i}/{len(selected)}] {pillar.name}: {pillar.description}")
+        summary.reports[pillar.name] = pillar.run(sweep)
+    return summary

@@ -62,13 +62,13 @@ class TestCli:
 
     def test_verify_exits_nonzero_on_violation(self, capsys, monkeypatch):
         from repro.verify import runner
-        from repro.verify.invariants import InvariantReport, Violation
+        from repro.verify.report import Cell, PillarReport
 
         def broken(**kwargs):
             summary = runner.VerifySummary()
-            summary.invariant_reports["bigkernel/kmeans"] = InvariantReport(
-                checked=("ring-backpressure",),
-                violations=[Violation("ring-backpressure", "ran ahead", 1.0)],
+            summary.reports["invariants"] = PillarReport(
+                "invariants",
+                [Cell("bigkernel/kmeans", ok=False, detail="ran ahead")],
             )
             return summary
 

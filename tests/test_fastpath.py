@@ -252,7 +252,7 @@ class TestEngineFastpath:
             engines=[BigKernelEngine(), GpuDoubleBufferEngine()],
         )
         assert report.ok, report.summary()
-        assert any(e.used_fastpath for e in report.entries)
+        assert any(e.values["used_fastpath"] for e in report.cells)
 
 
 class TestSweep:

@@ -167,7 +167,6 @@ class TestReadOrderAndLocality:
             elem_bytes=8,
             record_bytes=8,
             threads=64,
-            chunk_bytes=256 << 20,
             cpu=XEON_E5,
             locality_opt=True,
             reads_per_record=1,
@@ -176,7 +175,6 @@ class TestReadOrderAndLocality:
             elem_bytes=8,
             record_bytes=8,
             threads=64,
-            chunk_bytes=256 << 20,
             cpu=XEON_E5,
             locality_opt=False,
             reads_per_record=1,
@@ -186,17 +184,17 @@ class TestReadOrderAndLocality:
     def test_estimate_locality_line_sharing(self):
         """3 reads spanning a 48B record: ~0.75 of them share a fetched line."""
         rate = estimate_assembly_hit_rate(
-            8, 48, 64, 64 << 20, XEON_E5, True, reads_per_record=3
+            8, 48, 64, XEON_E5, True, reads_per_record=3
         )
         assert rate == pytest.approx(1 - (48 / 64) / 3)
 
     def test_estimate_many_streams_thrash(self):
         """Interleaved streams beyond cache capacity evict each other."""
         few = estimate_assembly_hit_rate(
-            8, 8, 64, 64 << 20, XEON_E5, False, reads_per_record=1
+            8, 8, 64, XEON_E5, False, reads_per_record=1
         )
         many = estimate_assembly_hit_rate(
-            8, 8, 1 << 20, 64 << 20, XEON_E5, False, reads_per_record=1
+            8, 8, 1 << 20, XEON_E5, False, reads_per_record=1
         )
         assert many < few
 

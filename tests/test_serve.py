@@ -307,9 +307,46 @@ def test_serve_differential_pillar():
         data_bytes=256 * KiB, seed=5, duration=1.0, rate=20.0
     )
     assert report.ok, report.summary()
-    assert report.cached > 0
-    assert report.engine_runs < len(report.entries)
+    assert report.counts["cached"] > 0
+    assert report.counts["engine runs"] < len(report.cells)
     assert "serve vs one-shot" in report.summary()
+
+
+def test_serve_pillar_fails_without_cache_hits():
+    """A trace too short to repeat any job never reaches the run cache, so
+    the clean phase amortized nothing: the pillar fails."""
+    from repro.verify import run_serve_differential
+
+    report = run_serve_differential(
+        data_bytes=64 * KiB, seed=5, duration=0.1, rate=20.0
+    )
+    assert report.counts["cached"] == 0
+    assert not report.ok
+    assert [c.name for c in report.mismatches] == ["open:run-cache"]
+
+
+def test_served_result_check_is_bit_exact():
+    """``repro serve --verify`` and the serve pillar share one check with
+    no tolerance: a netflix output 1e-12 off fails it, although netflix's
+    own ``outputs_equal`` (atol 1e-9) accepts it."""
+    from dataclasses import replace
+
+    from repro.serve import ServeResponse
+    from repro.verify import served_result_problems
+
+    job = _job(_dataset_spec("netflix", n_bytes=64 * KiB), chunk_kib=16)
+    exact = oneshot_oracle(job)
+    nudged = replace(exact, output=exact.output + 1e-12)
+    assert get_app("netflix").outputs_equal(exact.output, nudged.output)
+    assert served_result_problems(job, exact, {}) == []
+    assert served_result_problems(job, nudged, {})
+
+    with Server(ServeConfig(verify=True)) as server:
+        for result in (exact, nudged):
+            resp = ServeResponse(0, "t", "served", 0.0, result=result)
+            server._verify_one(job, resp)
+    assert server.metrics.verified == 2
+    assert server.metrics.verify_failures == 1
 
 
 # -------------------------------------------------------------------- CLI

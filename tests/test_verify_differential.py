@@ -4,6 +4,8 @@ Parametrized per (app, engine) so a failure names the exact cell; a
 module-scoped sweep runs each engine once per app.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,13 @@ from repro.apps import ALL_APPS
 from repro.engines import ALL_ENGINES, CpuSerialEngine, EngineConfig
 from repro.errors import VerificationError
 from repro.units import KiB, MiB
+from repro.verify import PILLARS, Sweep
 from repro.verify.differential import (
-    DifferentialReport,
-    DiffEntry,
     compare_outputs,
     describe_output,
-    run_analytic_differential,
     run_differential,
-    run_multigpu_differential,
 )
+from repro.verify.report import Cell, PillarReport
 
 DATA_BYTES = 1 * MiB
 CFG = EngineConfig(chunk_bytes=256 * 1024)
@@ -36,28 +36,28 @@ def report():
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_engine_matches_oracle(report, app_name, engine_name):
     entry = next(
-        e for e in report.entries if (e.app, e.engine) == (app_name, engine_name)
+        e for e in report.cells if (e.app, e.engine) == (app_name, engine_name)
     )
     assert entry.ok, f"({app_name}, {engine_name}): {entry.detail}"
 
 
 def test_matrix_is_complete(report):
-    assert len(report.entries) == len(APPS) * (len(ENGINES) + 1)
+    assert len(report.cells) == len(APPS) * (len(ENGINES) + 1)
     assert report.ok
     assert "0 mismatch(es)" in report.summary()
 
 
 def test_bigkernel_cells_carry_invariant_reports(report):
-    cells = [e for e in report.entries if e.engine == "bigkernel"]
-    assert cells and all(e.invariants is not None and e.invariants.ok for e in cells)
+    cells = [e for e in report.cells if e.engine == "bigkernel"]
+    assert cells and all(e.values["invariants"].ok for e in cells)
 
 
 def test_mismatch_report_names_the_pair():
     """A corrupted cell produces a structured report naming (app, engine)."""
-    report = DifferentialReport()
-    report.entries.append(DiffEntry("kmeans", "bigkernel", True))
-    report.entries.append(
-        DiffEntry("dna", "gpu_double", False, detail="oracle=... vs engine=...")
+    report = PillarReport("differential vs cpu_serial")
+    report.cells.append(Cell("kmeans", "bigkernel", True))
+    report.cells.append(
+        Cell("dna", "gpu_double", False, detail="oracle=... vs engine=...")
     )
     assert not report.ok
     assert [("dna", "gpu_double")] == [
@@ -125,18 +125,52 @@ def test_oracle_added_when_absent():
         engines=[CpuSerialEngine()],
         check_invariants=False,
     )
-    assert rep.ok and len(rep.entries) == 1
+    assert rep.ok and len(rep.cells) == 1
 
 
-def test_analytic_pillar_passes():
-    """``verify --analytic``: ``predict_run`` against the DES on the clean
-    matrix and on fuzzed geometries."""
-    report = run_analytic_differential(data_bytes=256 * KiB)
+#: dataset size per pillar (default 256 KiB): the interpreter-bound
+#: compiled pillar gets the least, the sharded engine enough data for
+#: several chunks per shard
+PILLAR_DATA_BYTES = {"compiled": 64 * KiB, "multigpu": 2 * MiB}
+
+
+@pytest.mark.parametrize("pillar", PILLARS, ids=lambda p: p.name)
+def test_pillar_passes(pillar):
+    """Every ``repro verify`` pillar, at full (non-quick) iteration counts
+    on a small dataset, grades some cells and passes them all."""
+    sweep = Sweep.sized(
+        quick=False, seed=7, data_bytes=PILLAR_DATA_BYTES.get(pillar.name, 256 * KiB)
+    )
+    report = pillar.run(sweep)
     assert report.ok, report.summary()
+    assert report.cells
+    if pillar.name == "fastpath":
+        assert any(c.values["used_fastpath"] for c in report.cells)
+    if pillar.name == "serve":
+        # the run cache and batching actually amortized the trace
+        assert report.counts["cached"] > 0
+        assert report.counts["engine runs"] < len(report.cells)
 
 
-def test_multigpu_pillar_passes():
-    """``verify --multigpu``: sharded outputs, shard traces and the shard
-    predictor on the clean matrix and on fuzzed fabrics."""
-    report = run_multigpu_differential()
-    assert report.ok, report.summary()
+def test_ci_runs_every_opt_in_pillar():
+    """Each opt-in pillar's flag appears in some ``repro verify`` step of
+    the CI workflow, so dropping a pillar from CI fails tier-1."""
+    ci = pathlib.Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml"
+    verify_steps = [
+        line.split()
+        for line in ci.read_text().splitlines()
+        if "repro verify" in line
+    ]
+    for pillar in PILLARS:
+        if pillar.opt_in:
+            assert any(f"--{pillar.name}" in step for step in verify_steps), (
+                pillar.name
+            )
+
+
+def test_run_verify_rejects_unknown_pillar():
+    from repro.errors import ReproError
+    from repro.verify import run_verify
+
+    with pytest.raises(ReproError, match="nosuch"):
+        run_verify(quick=True, opt_in=["nosuch"], emit=lambda _line: None)

@@ -13,8 +13,9 @@ import pytest
 from repro.errors import VerificationError
 from repro.kernelc.validate import validate_kernel
 from repro.runtime.pipeline import PipelineConfig
+from repro.verify.report import Cell
+from repro.verify import fuzz
 from repro.verify.fuzz import (
-    FuzzFailure,
     check_kernel_roundtrip,
     check_pipeline_case,
     random_chunk_schedule,
@@ -33,10 +34,10 @@ def test_fuzz_loop_end_to_end():
         seed=42,
     )
     assert report.ok, report.summary()
-    assert report.ir_cases == report.pipeline_cases == CI_ITERATIONS
+    assert report.counts["ir"] == report.counts["pipeline"] == CI_ITERATIONS
     # the grammar is sliceable-by-construction most of the time; make sure
     # the sliced path (not just the fallback) is actually exercised
-    assert report.ir_sliced > 0
+    assert report.counts["ir sliced"] > 0
     assert f"seed=42" in report.summary()
 
 
@@ -44,7 +45,7 @@ def test_fuzz_is_deterministic():
     a = run_fuzz(ir_iterations=5, pipeline_iterations=5, seed=7)
     b = run_fuzz(ir_iterations=5, pipeline_iterations=5, seed=7)
     assert a.summary() == b.summary()
-    assert a.ir_sliced == b.ir_sliced
+    assert a.counts == b.counts
 
 
 def test_random_kernels_are_valid():
@@ -72,14 +73,24 @@ def test_pipeline_single_case():
     check_pipeline_case(random.Random("pipe"))  # raises on violation
 
 
-def test_failure_record_carries_reproducer():
-    f = FuzzFailure("ir", seed=9, case=3, message="boom", program="kernel x")
-    s = str(f)
-    assert "seed=9" in s and "case=3" in s and "kernel x" in s
+def test_failure_record_carries_reproducer(monkeypatch):
+    """A failed case's cell names (kind, seed, case) and the IR program."""
+
+    def boom(kernel, data_seed):
+        raise VerificationError("boom")
+
+    monkeypatch.setattr(fuzz, "check_kernel_roundtrip", boom)
+    report = run_fuzz(ir_iterations=4, pipeline_iterations=0, seed=9,
+                      uvm_iterations=0)
+    cell = report.mismatches[3]
+    assert cell.name == "(ir, case 3)"
+    s = cell.detail
+    assert "seed=9" in s and "case=3" in s and "boom" in s
+    assert "fuzz_kernel" in s  # the rendered program follows the message
 
 
 def test_report_raise_if_failed():
     report = run_fuzz(ir_iterations=1, pipeline_iterations=0, seed=1)
-    report.failures.append(FuzzFailure("ir", 1, 0, "synthetic"))
+    report.cells.append(Cell("ir", "case 0", ok=False, detail="synthetic"))
     with pytest.raises(VerificationError, match="synthetic"):
         report.raise_if_failed()
