@@ -185,14 +185,13 @@ def test_des_bound_sweep_process_vs_thread():
     there is no concurrency to buy and the fork tax makes processes
     *slower*; the expectation is skipped there (recorded either way).
     """
-    from repro.bench.sweep import _resolve_backend
+    from repro.bench.jobs import choose_backend
 
     app = get_app("kmeans")
     data = app.generate(n_bytes=32 * MiB, seed=7)
     engine = BigKernelEngine()
     base = EngineConfig(fastpath=False, functional=False)
     grid = {"chunk_bytes": [8 * 1024, 16 * 1024], "num_blocks": [8, 16, 32, 64]}
-    n_points = 8
 
     t0 = time.perf_counter()
     threaded = sweep(engine, app, data, base, grid, jobs=4, backend="thread")
@@ -211,8 +210,9 @@ def test_des_bound_sweep_process_vs_thread():
     # the dispatch heuristic's verdict belongs next to the timings it is
     # supposed to predict (a 1-core runner records "thread" here, which
     # explains a process_speedup < 1 without flagging a regression)
-    auto_backend = _resolve_backend(
-        "auto", engine, app, data, base, jobs=4, n_points=n_points
+    auto_backend = choose_backend(
+        [(engine, app, data, base.with_(**p.params)) for p in proc.points],
+        jobs=4,
     )
     speedup = t_thread / t_proc if t_proc > 0 else float("inf")
     _record(

@@ -69,10 +69,9 @@ def _run_cell(engine, app, data, config, cache: bool) -> RunResult:
     """One matrix cell, optionally through the two-tier run cache."""
     if not cache:
         return engine.run(app, data, config)
-    from repro.bench.sweep import RUN_CACHE, RunCache, _disk_key
+    from repro.bench.sweep import RUN_CACHE
 
-    key = RunCache.key(engine, app, data, config)
-    disk_key = _disk_key(engine, app, data, config, cache)
+    key, disk_key = RUN_CACHE.keys(engine, app, data, config)
     result = RUN_CACHE.get(key, disk_key)
     if result is None:
         result = engine.run(app, data, config)

@@ -1,30 +1,40 @@
-"""Picklable job specifications for the process-pool execution backend.
+"""Fan-out of engine-run grids, and the picklable job specs it ships.
 
-``sweep(backend="process")`` and ``chaos --backend process`` cannot ship
-live objects to workers: engines carry memoization caches, ``AppData``
-holds tens of megabytes of arrays, and pickling either would cost more
-than the run itself. Instead the parent sends a :class:`JobSpec` — app
-name, generation recipe (seed, requested bytes, datagen version), engine
-identity, and the frozen :class:`~repro.engines.base.EngineConfig` — and
-each worker *regenerates* the dataset locally. Generation is deterministic
+Every grid of independent engine runs — :func:`repro.bench.sweep.sweep`,
+:func:`repro.faults.chaos.run_chaos`, the UVM comparison and the
+multi-GPU ladder — hands its ``(engine, app, data, config)`` runs to
+:func:`run_grid`, which applies the one backend rule
+(:func:`choose_backend`) and returns one outcome per run in input order:
+the :class:`~repro.engines.base.RunResult`, or the typed
+:class:`~repro.errors.ReproError` the run raised.
+
+The process backend cannot ship live objects to workers: engines carry
+memoization caches, ``AppData`` holds tens of megabytes of arrays, and
+pickling either would cost more than the run itself. Instead the parent
+sends a :class:`JobSpec` — app name, generation recipe (seed, requested
+bytes, datagen version), engine identity, and the frozen
+:class:`~repro.engines.base.EngineConfig` — and each worker *regenerates*
+the dataset locally. Generation is deterministic
 (:func:`repro.apps.base.dataset_key` names datasets by exactly this
 recipe), so every worker sees byte-identical data, and per-worker caches
 (:data:`_WORKER_DATASETS`, :data:`_WORKER_ENGINES`) amortize the
-regeneration and the engine's schedule memoization across all the points
+regeneration and the engine's schedule memoization across all the runs
 a worker evaluates.
 
 Only registry apps and stock engines are spec-able: a hand-built
 ``AppData`` or a custom engine instance has no recipe a worker could
 replay, in which case :func:`dataset_spec` / :func:`engine_to_spec` return
-``None`` and the caller falls back to the thread backend (or raises, when
-the process backend was requested explicitly).
+``None`` and the grid runs in this process (or raises, when the process
+backend was requested explicitly).
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from repro.apps.base import (
     APP_REGISTRY,
@@ -207,3 +217,134 @@ def run_jobspec(spec: JobSpec) -> RunResult:
     if engine is None:
         engine = _WORKER_ENGINES[spec.engine] = engine_from_spec(spec.engine)
     return engine.run(app, data, spec.config)
+
+
+#: recognized ``backend=`` values
+BACKENDS = ("thread", "process", "auto")
+
+#: one grid run: ``(engine, app, data, config)``
+Run = tuple[Engine, Application, AppData, EngineConfig]
+#: what :func:`run_grid` returns per run
+Outcome = Union[RunResult, ReproError]
+
+
+def _worker_count(jobs: Optional[int]) -> int:
+    """``jobs`` as a worker count: 0 or None means one per CPU."""
+    if jobs is None or jobs <= 0:
+        return os.cpu_count() or 1
+    return jobs
+
+
+def _des_bound(engine: Engine, app: Application, config: EngineConfig) -> bool:
+    """Will this run hold the GIL in the pure-Python DES?
+
+    Mirrors the fast-path fallback matrix (``docs/performance.md``): an
+    active fault plan forces the DES, ``fastpath=False`` asks for it,
+    mapped-writes apps fall back chunk by chunk, and the UVM engines have
+    no fast path at all.
+    """
+    from repro.engines.uvm import GpuUvmEngine
+
+    if isinstance(engine, GpuUvmEngine):
+        return True
+    if config.faults is not None and config.faults.active():
+        return True
+    return not config.fastpath or app.writes_mapped
+
+
+def _process_specs(
+    runs: Sequence[Run], jobs: Optional[int], backend: str
+) -> Optional[list[JobSpec]]:
+    """The one backend rule: job specs for a process pool, or None to run
+    in this process (serially or on threads)."""
+    if backend not in BACKENDS:
+        raise ReproError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if backend == "thread" or _worker_count(jobs) <= 1:
+        return None
+    # auto: processes pay a fork + regeneration tax, so only buy real
+    # parallelism where threads cannot provide it (the GIL-bound DES) AND
+    # the machine/grid can amortize the tax — on a 1-2 core box or a tiny
+    # grid the workers serialize anyway and the process backend measured
+    # 0.35x (BENCH_pipeline.json, 1-core run)
+    if backend == "auto" and (
+        (os.cpu_count() or 1) <= 2
+        or len(runs) < 4
+        or not any(_des_bound(e, a, c) for e, a, _, c in runs)
+    ):
+        return None
+    specs = []
+    for engine, app, data, config in runs:
+        dspec, espec = dataset_spec(app, data), engine_to_spec(engine)
+        if dspec is None or espec is None:
+            if backend == "auto":
+                return None
+            raise ReproError(
+                "backend='process' needs registry apps with a generation "
+                "recipe and stock engines (workers rebuild both from "
+                "picklable specs); use backend='thread' for custom instances"
+            )
+        specs.append(JobSpec(dspec, espec, config))
+    return specs if len(specs) > 1 else None  # one run gains nothing from a pool
+
+
+def choose_backend(
+    runs: Sequence[Run], jobs: Optional[int] = 1, backend: str = "auto"
+) -> str:
+    """``"process"`` or ``"thread"``: where :func:`run_grid` sends ``runs``.
+
+    The rule: an unknown ``backend`` raises :class:`ReproError`; ``jobs``
+    <= 1 or ``"thread"`` runs in this process (``jobs`` of 0 or None
+    means one worker per CPU); ``"process"`` uses a process pool and
+    raises when a run cannot become a :class:`JobSpec`; ``"auto"`` uses
+    processes only when every run can become a spec, the box has more
+    than 2 cores, there are at least 4 runs, and some run is DES-bound.
+    """
+    return "thread" if _process_specs(runs, jobs, backend) is None else "process"
+
+
+def _run_here(run: Run) -> Outcome:
+    engine, app, data, config = run
+    try:
+        return engine.run(app, data, config)
+    except ReproError as exc:
+        return exc
+
+
+def _run_spec(spec: JobSpec) -> Outcome:
+    try:
+        return run_jobspec(spec)
+    except ReproError as exc:
+        return exc
+
+
+def run_grid(
+    runs: Sequence[Run], jobs: Optional[int] = 1, backend: str = "auto"
+) -> list[Outcome]:
+    """Run every ``(engine, app, data, config)``; one outcome per run.
+
+    Outcomes come back in input order whatever the backend
+    (``executor.map`` preserves submission order), so anything merged
+    from them — sweep tie-breaks, chaos fingerprints, figure entries — is
+    backend-invariant. Threads and the serial path use the caller's
+    dataset instances; process workers regenerate them with
+    :func:`materialize_dataset`. Only typed :class:`ReproError`\\ s
+    become outcomes; any other exception propagates.
+    """
+    specs = _process_specs(runs, jobs, backend)
+    if specs is not None:
+        workers = min(_worker_count(jobs), len(specs))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_run_spec, specs))
+    workers = min(_worker_count(jobs), len(runs))
+    if workers <= 1:
+        return [_run_here(run) for run in runs]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_run_here, runs))
+
+
+def results_of(outcomes: Sequence[Outcome]) -> list[RunResult]:
+    """The results of :func:`run_grid`, raising the first typed error."""
+    for outcome in outcomes:
+        if isinstance(outcome, ReproError):
+            raise outcome
+    return list(outcomes)

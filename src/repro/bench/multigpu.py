@@ -26,8 +26,8 @@ shrinking per-shard win; a shared root complex is never faster than
 dedicated links.
 
 Exposed as ``python -m repro bench --gpus 1,2,4,8 [--shared-link]``;
-cells fan out over the same picklable :class:`~repro.bench.jobs.JobSpec`
-machinery as the UVM comparison and come back in serial nesting order.
+cells fan out through :func:`repro.bench.jobs.run_grid`, like the UVM
+comparison, and come back in serial nesting order.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.apps import get_app
+from repro.bench.jobs import results_of, run_grid
 from repro.engines import EngineConfig
 from repro.engines.multigpu import MultiGpuBigKernelEngine
 from repro.errors import ReproError, ValidationFailure
@@ -175,9 +176,9 @@ def run_multigpu_scaling(
     must be invisible to the result, bit for bit. ``verify_shards=True``
     forces every cell through the true DES (the closed-form fastpath is
     proven time-identical) and audits each shard's trace; ``predict``
-    prices every cell with the analytic shard model. ``jobs > 1`` fans
-    cells across threads or a process pool of spec-replaying workers;
-    cell order (and the figure entry) is backend-invariant.
+    prices every cell with the analytic shard model. ``jobs``/``backend``
+    fan the cells out through :func:`repro.bench.jobs.run_grid`; cell
+    order (and the figure entry) is backend-invariant.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
     if verify_shards:
@@ -202,45 +203,13 @@ def run_multigpu_scaling(
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    if jobs > 1 and len(cells) > 1:
-        from repro.bench.sweep import BACKENDS
-        from repro.bench.uvm import _comparison_jobs
-
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        specs = _comparison_jobs(app_objs, engines, datasets, config)
-        use_process = backend == "process" or (
-            backend == "auto" and specs is not None
+    results = results_of(
+        run_grid(
+            [(engine, app, datasets[app.name], config) for app, engine in cells],
+            jobs,
+            backend,
         )
-        if backend == "process" and specs is None:
-            raise ReproError(
-                "backend='process' needs registry apps and stock engines; "
-                "use backend='thread' for custom instances"
-            )
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        workers = min(jobs, len(cells))
-        if use_process and specs is not None:
-            from repro.bench.jobs import run_jobspec
-
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(run_jobspec, specs))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(
-                    ex.map(
-                        lambda c: c[1].run(c[0], datasets[c[0].name], config),
-                        cells,
-                    )
-                )
-    else:
-        results = [
-            engine.run(app, datasets[app.name], config)
-            for app, engine in cells
-        ]
-
+    )
     for (app, engine), res in zip(cells, results):
         scaling.results[(app.name, engine.n_gpus)] = res
 

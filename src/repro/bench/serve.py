@@ -116,25 +116,6 @@ class ServeBenchResult:
             }
         return entry
 
-    def summary(self) -> str:
-        lines = [
-            f"naive loop: {self.n_requests} jobs in {self.naive_seconds:.2f}s "
-            f"= {self.naive_jobs_per_sec:.2f} jobs/s",
-            f"capacity speedup: {self.capacity_speedup:.2f}x",
-        ]
-        for level in self.levels:
-            lines.append(
-                f"  {level.label}: {level.jobs_per_sec:.2f} jobs/s "
-                f"p50={level.p50:.4f}s p99={level.p99:.4f}s "
-                f"rejected={level.rejected} cached={level.cached} "
-                f"engine_runs={level.engine_runs}"
-            )
-        lines.append(
-            f"verified {self.verified} responses, "
-            f"{self.verify_failures} failures"
-        )
-        return "\n".join(lines)
-
 
 def _serve_level(
     label: str,
@@ -331,24 +312,6 @@ class ServeSloResult:
             "typed_terminals": self.typed_terminals,
             "untyped_terminals": self.untyped_terminals,
         }
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"{self.n_requests} requests at {self.overload:.0f}x capacity "
-                f"({self.capacity_jobs_per_sec:.1f} jobs/s), "
-                f"slo={self.slo_ms:.0f}ms",
-                f"  fifo: p99={self.fifo.p99:.4f}s attainment="
-                f"{100 * self.fifo.attainment:.1f}% shed={self.fifo.shed} "
-                f"rejected={self.fifo.rejected}",
-                f"  edf:  p99={self.edf.p99:.4f}s attainment="
-                f"{100 * self.edf.attainment:.1f}% shed={self.edf.shed} "
-                f"rejected={self.edf.rejected} "
-                f"(predicted={self.edf.rejected_predicted})",
-                f"  p99 improvement: {self.p99_improvement:.2f}x; verified "
-                f"{self.verified} responses, {self.verify_failures} failures",
-            ]
-        )
 
 
 def _slo_policy(

@@ -8,17 +8,11 @@ a small grid per engine/app pair and returns the fastest configuration.
 
 Three levers keep big grids fast (``docs/performance.md``):
 
-* ``jobs=N`` fans the grid points across an executor. Points are
-  independent engine runs; results are merged back in grid order, so the
-  outcome — including every tie-break — is identical to the serial sweep.
-* ``backend=`` picks the executor: ``"thread"`` (cheap, right when points
-  resolve on the analytic fast path or mostly hit the cache),
-  ``"process"`` (a :class:`~concurrent.futures.ProcessPoolExecutor` over
-  picklable :class:`~repro.bench.jobs.JobSpec`\\ s — the GIL serializes
-  DES-bound points on threads, so pure-Python simulation work needs real
-  processes), or ``"auto"`` (process exactly when the run is DES-bound).
-  Workers regenerate the dataset locally from its recipe instead of being
-  shipped arrays.
+* ``jobs=N``/``backend=`` fan the grid points out through
+  :func:`repro.bench.jobs.run_grid`, which owns the thread-vs-process
+  rule shared by every grid of engine runs. Points are independent engine
+  runs; results come back in grid order, so the outcome — including
+  every tie-break — is identical to the serial sweep.
 * ``cache=True`` consults the two-tier :class:`RunCache`: an in-process
   LRU keyed on dataset *identity* in front of a persistent on-disk store
   (:class:`DiskCache`, SHA-256 content key under ``.repro-cache/``) keyed
@@ -35,12 +29,12 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from repro.apps.base import AppData, Application, data_fingerprint, dataset_key
+from repro.bench.jobs import results_of, run_grid
 from repro.engines.base import Engine, EngineConfig, RunResult
 from repro.errors import ReproError
 from repro.units import MiB
@@ -328,6 +322,16 @@ class RunCache:
     def key(engine: Engine, app: Application, data: AppData, config: EngineConfig):
         return (engine.cache_key, app.name, data_fingerprint(data), config)
 
+    def keys(
+        self, engine: Engine, app: Application, data: AppData, config: EngineConfig
+    ) -> tuple:
+        """``(memory key, disk key)`` of one run; the disk key is None
+        while the persistent tier is off."""
+        disk_key = None
+        if self.disk is not None and self.disk.enabled:
+            disk_key = content_run_key(engine, app, data, config)
+        return self.key(engine, app, data, config), disk_key
+
     def get(self, key, disk_key: Optional[str] = None) -> Optional[RunResult]:
         with self._lock:
             if key in self._entries:
@@ -383,79 +387,6 @@ class RunCache:
 
 #: process-wide two-tier run cache used by ``sweep(..., cache=True)``
 RUN_CACHE = RunCache(disk=DiskCache())
-
-#: recognized ``backend=`` values
-BACKENDS = ("thread", "process", "auto")
-
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-def _des_bound(app: Application, config: EngineConfig) -> bool:
-    """Will grid points resolve on the pure-Python DES (GIL-bound)?
-
-    Mirrors the fast-path fallback matrix (``docs/performance.md``): an
-    active fault plan forces the DES, ``fastpath=False`` asks for it, and
-    mapped-writes apps fall back chunk by chunk.
-    """
-    if config.faults is not None and config.faults.active():
-        return True
-    return not config.fastpath or app.writes_mapped
-
-
-def _resolve_backend(
-    backend: str,
-    engine: Engine,
-    app: Application,
-    data: AppData,
-    config: EngineConfig,
-    jobs: int,
-    n_points: int = 0,
-) -> str:
-    """Pick thread vs process; validate explicit process requests."""
-    if backend not in BACKENDS:
-        raise ReproError(f"unknown sweep backend {backend!r}; known: {BACKENDS}")
-    if backend == "thread" or jobs <= 1:
-        return "thread"
-    from repro.bench.jobs import dataset_spec, engine_to_spec
-
-    speccable = (
-        engine_to_spec(engine) is not None
-        and dataset_spec(app, data) is not None
-    )
-    if backend == "process":
-        if not speccable:
-            raise ReproError(
-                "backend='process' needs a registry app with a generation "
-                "recipe and a stock engine (workers regenerate data by "
-                "recipe); use backend='thread' for custom apps/engines"
-            )
-        return "process"
-    # auto: processes pay a fork + regeneration tax, so only buy real
-    # parallelism where threads cannot provide it (the GIL-bound DES) AND
-    # the machine/grid can amortize the tax — on a 1-2 core box or a tiny
-    # grid the workers serialize anyway and the process backend measured
-    # 0.35x (BENCH_pipeline.json, 1-core run)
-    cores = os.cpu_count() or 1
-    if cores <= 2 or (n_points and n_points < 4):
-        return "thread"
-    return "process" if speccable and _des_bound(app, config) else "thread"
-
-
-def _disk_key(
-    engine: Engine,
-    app: Application,
-    data: AppData,
-    cfg: EngineConfig,
-    cache: bool,
-) -> Optional[str]:
-    if not cache or RUN_CACHE.disk is None or not RUN_CACHE.disk.enabled:
-        return None
-    return content_run_key(engine, app, data, cfg)
-
 
 def _sweep_analytic(
     engine: Engine,
@@ -516,15 +447,13 @@ def sweep(
 
     ``grid`` maps EngineConfig field names to candidate value lists; the
     product is enumerated in deterministic order (sorted keys, listed
-    values). ``jobs`` > 1 evaluates points on an executor (0/None means
-    one per CPU) selected by ``backend``: ``"thread"``, ``"process"``
-    (picklable job specs, workers regenerate data locally), or ``"auto"``
-    (process exactly when points are DES-bound — faulted, ``fastpath=
-    False``, or mapped-writes runs — else thread). Whatever the backend,
-    results merge in grid order, so the points list and the tie-broken
-    winner are identical to the serial sweep's. ``cache=True`` consults
-    the process-wide two-tier :data:`RUN_CACHE` (in-memory LRU + on-disk
-    content-keyed store) before evaluating any point.
+    values). ``jobs``/``backend`` fan the points out through
+    :func:`repro.bench.jobs.run_grid` (see :func:`~repro.bench.jobs.
+    choose_backend` for the rule). Whatever the backend, results merge in
+    grid order, so the points list and the tie-broken winner are
+    identical to the serial sweep's. ``cache=True`` resolves hits in the
+    process-wide two-tier :data:`RUN_CACHE` (in-memory LRU + on-disk
+    content-keyed store) first and evaluates only the misses.
 
     ``mode`` selects how points are evaluated:
 
@@ -557,81 +486,28 @@ def sweep(
             engine, app, data, base_config, grid, combos, top_k
         )
 
-    jobs = _resolve_jobs(jobs) if jobs != 1 else 1
-    chosen_backend = _resolve_backend(
-        backend, engine, app, data, base_config, jobs, n_points=len(combos)
+    configs = [base_config.with_(**chosen) for chosen in combos]
+    results: list[Optional[RunResult]] = [None] * len(combos)
+    cache_keys: list = [None] * len(combos)
+    if cache:
+        for i, cfg in enumerate(configs):
+            cache_keys[i] = RUN_CACHE.keys(engine, app, data, cfg)
+            results[i] = RUN_CACHE.get(*cache_keys[i])
+    misses = [i for i, result in enumerate(results) if result is None]
+    outcomes = run_grid(
+        [(engine, app, data, configs[i]) for i in misses], jobs, backend
     )
-    if chosen_backend == "process" and len(combos) > 1:
-        return SweepResult(
-            _evaluate_process(engine, app, data, base_config, combos, jobs, cache)
-        )
-
-    def evaluate(chosen: dict) -> SweepPoint:
-        cfg = base_config.with_(**chosen)
-        result = None
-        cache_key = disk_key = None
+    for i, result in zip(misses, results_of(outcomes)):
+        results[i] = result
         if cache:
-            cache_key = RunCache.key(engine, app, data, cfg)
-            disk_key = _disk_key(engine, app, data, cfg, cache)
-            result = RUN_CACHE.get(cache_key, disk_key)
-        if result is None:
-            result = engine.run(app, data, cfg)
-            if cache:
-                RUN_CACHE.put(cache_key, result, disk_key)
-        return SweepPoint(dict(chosen), result.sim_time, result)
-
-    if jobs == 1 or len(combos) <= 1:
-        points = [evaluate(c) for c in combos]
-    else:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(combos))) as ex:
-            # executor.map preserves input order: deterministic merge
-            points = list(ex.map(evaluate, combos))
-    return SweepResult(points)
-
-
-def _evaluate_process(
-    engine: Engine,
-    app: Application,
-    data: AppData,
-    base_config: EngineConfig,
-    combos: list[dict],
-    jobs: int,
-    cache: bool,
-) -> list[SweepPoint]:
-    """Grid evaluation on a process pool, cache consulted parent-side.
-
-    Workers know nothing of the cache: the parent resolves hits first,
-    dispatches only the misses (``executor.map`` preserves submission
-    order), then merges results back into their grid slots — point order
-    and tie-breaks match the serial sweep exactly.
-    """
-    from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec, run_jobspec
-
-    dspec = dataset_spec(app, data)
-    espec = engine_to_spec(engine)
-    points: list[Optional[SweepPoint]] = [None] * len(combos)
-    pending: list[tuple[int, dict, EngineConfig, Optional[str]]] = []
-    for i, chosen in enumerate(combos):
-        cfg = base_config.with_(**chosen)
-        result = None
-        disk_key = None
-        if cache:
-            disk_key = _disk_key(engine, app, data, cfg, cache)
-            result = RUN_CACHE.get(RunCache.key(engine, app, data, cfg), disk_key)
-        if result is None:
-            pending.append((i, chosen, cfg, disk_key))
-        else:
-            points[i] = SweepPoint(dict(chosen), result.sim_time, result)
-
-    if pending:
-        specs = [JobSpec(dspec, espec, cfg) for _, _, cfg, _ in pending]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as ex:
-            results = list(ex.map(run_jobspec, specs))
-        for (i, chosen, cfg, disk_key), result in zip(pending, results):
-            if cache:
-                RUN_CACHE.put(RunCache.key(engine, app, data, cfg), result, disk_key)
-            points[i] = SweepPoint(dict(chosen), result.sim_time, result)
-    return points  # type: ignore[return-value]
+            key, disk_key = cache_keys[i]
+            RUN_CACHE.put(key, result, disk_key)
+    return SweepResult(
+        [
+            SweepPoint(dict(chosen), result.sim_time, result)
+            for chosen, result in zip(combos, results)
+        ]
+    )
 
 
 #: the default tuning grid: buffer size and launch width, the two knobs

@@ -20,10 +20,10 @@ best UVM variant on most apps — prefetching narrows the gap but cannot
 buy the pipeline's pinned-buffer bandwidth or its transfer-volume
 reduction.
 
-Exposed as ``python -m repro bench [--jobs N] [--backend B]``; with
-``jobs > 1`` the (app, engine) cells fan out over the same picklable
-:class:`~repro.bench.jobs.JobSpec` machinery the sweep and chaos
-harnesses use, and come back in the serial nesting order.
+Exposed as ``python -m repro bench [--jobs N] [--backend B]``; the
+(app, engine) cells fan out through :func:`repro.bench.jobs.run_grid`,
+like every other grid of engine runs, and come back in the serial
+nesting order.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.apps import get_app
+from repro.bench.jobs import results_of, run_grid
 from repro.engines import (
     UVM_ENGINES,
     BigKernelEngine,
     EngineConfig,
 )
-from repro.errors import ReproError, ValidationFailure
+from repro.errors import ValidationFailure
 from repro.units import MiB, fmt_time
 
 #: the six applications of the paper's evaluation (the indexed MasterCard
@@ -126,21 +127,6 @@ class UvmComparison:
         }
 
 
-def _comparison_jobs(apps, engines, datasets, config):
-    """Picklable JobSpecs for every cell, in the serial nesting order."""
-    from repro.bench.jobs import JobSpec, dataset_spec, engine_to_spec
-
-    jobs = []
-    for app in apps:
-        dspec = dataset_spec(app, datasets[app.name])
-        for engine in engines:
-            espec = engine_to_spec(engine)
-            if dspec is None or espec is None:
-                return None
-            jobs.append(JobSpec(dataset=dspec, engine=espec, config=config))
-    return jobs
-
-
 def run_uvm_comparison(
     data_bytes: int = 4 * MiB,
     seed: int = 4,
@@ -154,8 +140,8 @@ def run_uvm_comparison(
     Every engine's functional output is cross-checked against the first
     (BigKernel, itself differentially verified against the serial oracle
     by ``repro verify``) — a paging bug can slow the timeline, but it must
-    never corrupt data. ``jobs > 1`` fans the cells across threads or a
-    process pool of spec-replaying workers; cell order (and therefore the
+    never corrupt data. ``jobs``/``backend`` fan the cells out through
+    :func:`repro.bench.jobs.run_grid`; cell order (and therefore the
     figure entry) is backend-invariant.
     """
     config = config or EngineConfig(chunk_bytes=max(256 * 1024, data_bytes // 4))
@@ -175,45 +161,13 @@ def run_uvm_comparison(
     )
 
     cells = [(app, engine) for app in app_objs for engine in engines]
-    results = None
-    if jobs > 1 and len(cells) > 1:
-        from repro.bench.sweep import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        specs = _comparison_jobs(app_objs, engines, datasets, config)
-        use_process = backend == "process" or (
-            backend == "auto" and specs is not None
+    results = results_of(
+        run_grid(
+            [(engine, app, datasets[app.name], config) for app, engine in cells],
+            jobs,
+            backend,
         )
-        if backend == "process" and specs is None:
-            raise ReproError(
-                "backend='process' needs registry apps and stock engines; "
-                "use backend='thread' for custom instances"
-            )
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        workers = min(jobs, len(cells))
-        if use_process and specs is not None:
-            from repro.bench.jobs import run_jobspec
-
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(run_jobspec, specs))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(
-                    ex.map(
-                        lambda c: c[1].run(c[0], datasets[c[0].name], config),
-                        cells,
-                    )
-                )
-    else:
-        results = [
-            engine.run(app, datasets[app.name], config)
-            for app, engine in cells
-        ]
-
+    )
     for (app, engine), res in zip(cells, results):
         comparison.results[(app.name, engine.name)] = res
 

@@ -14,7 +14,7 @@ Commands mirror the library's surfaces:
 * ``chaos`` — fault-injection sweep: the app x engine matrix under a
   seeded fault grid, with differential + invariant verification per cell
   (see ``docs/faults.md``); ``--jobs``/``--backend`` parallelize the
-  blocks without changing the fingerprint; exits nonzero on any failing
+  runs without changing the fingerprint; exits nonzero on any failing
   cell;
 * ``bench`` — competitor comparison: BigKernel vs the unified-memory
   engine family (plain / readahead / learned prefetch) on the paper's six
@@ -52,6 +52,22 @@ def _add_common(p):
     p.add_argument("--data-mib", type=int, default=16, help="dataset size (MiB)")
     p.add_argument("--chunk-kib", type=int, default=2048, help="chunk payload (KiB)")
     p.add_argument("--seed", type=int, default=7, help="data generator seed")
+
+
+def _add_fanout(p):
+    """``--jobs``/``--backend`` of every grid command (chaos, bench, sweep)."""
+    from repro.bench.jobs import BACKENDS
+
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for the grid's engine runs "
+                        "(0 = one per CPU); results are identical for any "
+                        "jobs/backend")
+    p.add_argument("--backend", default="auto", choices=BACKENDS,
+                   help="executor for --jobs > 1: auto picks process only "
+                        "on more than 2 cores for 4 or more runs of "
+                        "registry apps and stock engines, some of them "
+                        "DES-bound (faults, fastpath off, mapped writes, "
+                        "UVM); else thread")
 
 
 def cmd_apps(args) -> int:
@@ -523,13 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataset size (MiB); 0 = sweep default")
     p_c.add_argument("--json", default="",
                      help="also write the FaultReport JSON to this path")
-    p_c.add_argument("--jobs", type=int, default=1,
-                     help="parallel (app, engine) blocks; the fingerprint "
-                          "is identical for any jobs/backend")
-    p_c.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (auto picks process: "
-                          "faulted runs are DES-bound)")
+    _add_fanout(p_c)
     p_c.add_argument("--serve", action="store_true",
                      help="route every faulted run through a live serve "
                           "Server; the report fingerprint must match the "
@@ -547,12 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--data-mib", type=int, default=4,
                      help="dataset size (MiB)")
     p_b.add_argument("--seed", type=int, default=4, help="data generator seed")
-    p_b.add_argument("--jobs", type=int, default=1,
-                     help="parallel (app, engine) cells")
-    p_b.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="executor for --jobs > 1 (UVM runs are DES-bound, "
-                          "so auto picks process)")
+    _add_fanout(p_b)
     p_b.add_argument("--gpus", default="",
                      help="run the multi-GPU scaling sweep instead: "
                           "comma-separated GPU counts, e.g. 1,2,4,8 "
@@ -567,13 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("app", help="application name (see `repro apps`)")
     p_sw.add_argument("--engine", default="bigkernel",
                       help="engine to tune (default: bigkernel)")
-    p_sw.add_argument("--jobs", type=int, default=1,
-                      help="parallel sweep workers (0 = one per CPU)")
-    p_sw.add_argument("--backend", default="auto",
-                      choices=["auto", "thread", "process"],
-                      help="executor for --jobs > 1: process sidesteps the "
-                           "GIL for DES-bound grids, thread suits "
-                           "fastpath/cached ones (auto decides)")
+    _add_fanout(p_sw)
     p_sw.add_argument("--mode", default="des",
                       choices=["des", "analytic", "hybrid"],
                       help="des simulates every point; analytic prices the "

@@ -14,21 +14,21 @@ the plan, and checks that graceful degradation actually was graceful:
 Everything is seeded and deterministic: the same seed produces a
 byte-identical :class:`~repro.faults.report.FaultReport`
 (``report.fingerprint()`` is the contract ``tests/test_faults.py`` pins).
-That determinism is also what makes the sweep parallelizable: with
-``jobs > 1`` the grid is split into per-(app, engine) *blocks*, each block
-regenerates its dataset and oracle locally (nothing is shipped between
-processes but a picklable spec), and the plan-ordered cells come back in
-the exact serial nesting order — so the report fingerprint is identical
-whether the sweep ran serial, threaded, or across a process pool.
+The clean and faulted runs of every (app, engine) pair form one grid that
+fans out through :func:`repro.bench.jobs.run_grid` (``jobs``/``backend``
+follow its one backend rule); outcomes come back in the serial nesting
+order and are graded here, in the parent, against the ``cpu_serial``
+oracle — so the report fingerprint is identical whether the sweep ran
+serial, threaded, or across a process pool.
 Exposed as ``python -m repro chaos [--quick] [--jobs N] [--backend B]``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from repro.apps import KMeansApp, WordCountApp
+from repro.bench.jobs import choose_backend, run_grid
 from repro.engines import (
     BigKernelEngine,
     CpuSerialEngine,
@@ -102,19 +102,6 @@ def _judge_outcome(
     return cell
 
 
-def _evaluate_cell(app, data, ref, engine, clean, plan, config) -> FaultCell:
-    """One faulted run, judged against the oracle and the clean run.
-
-    Shared by the serial path and both parallel backends so a cell is
-    scored by exactly one piece of code.
-    """
-    try:
-        outcome = engine.run(app, data, config.with_(faults=plan))
-    except ReproError as exc:
-        outcome = exc
-    return _judge_outcome(app, ref, engine.name, clean, plan, config, outcome)
-
-
 def _serve_cell_block(
     app, engine, plans, config, seed, data_bytes
 ) -> list[FaultCell]:
@@ -177,67 +164,6 @@ def _serve_cell_block(
     return cells
 
 
-def _cell_block(app, engine, plans, config, seed, data_bytes) -> list[FaultCell]:
-    """All cells of one (app, engine) block, in plan order.
-
-    Regenerates the dataset and reruns the oracle locally — generation is
-    deterministic, so the block is self-contained and the cells match what
-    the serial nested loop would have produced, byte for byte.
-    """
-    data = app.generate(n_bytes=data_bytes, seed=seed)
-    ref = CpuSerialEngine().run(app, data, config)
-    clean = engine.run(app, data, config)
-    return [
-        _evaluate_cell(app, data, ref, engine, clean, plan, config)
-        for plan in plans
-    ]
-
-
-def _cell_block_spec(task) -> list[FaultCell]:
-    """Process-pool worker entry: rebuild the block from picklable specs."""
-    app_name, engine_spec, plans, config, seed, data_bytes = task
-    from repro.apps.base import get_app
-    from repro.bench.jobs import engine_from_spec
-
-    return _cell_block(
-        get_app(app_name), engine_from_spec(engine_spec), plans, config,
-        seed, data_bytes,
-    )
-
-
-def _resolve_backend(backend: str, jobs: int, apps, engines) -> str:
-    """Pick the executor; chaos is always DES-bound, so auto favors process."""
-    from repro.apps.base import APP_REGISTRY
-    from repro.bench.jobs import engine_to_spec
-    from repro.bench.sweep import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if jobs <= 1 or backend == "thread":
-        return "thread"
-    speccable = all(
-        APP_REGISTRY.get(app.name) is type(app) for app in apps
-    ) and all(engine_to_spec(engine) is not None for engine in engines)
-    if backend == "process":
-        if not speccable:
-            raise ReproError(
-                "backend='process' needs registry apps and stock engines "
-                "(workers rebuild both from picklable specs); use "
-                "backend='thread' for custom instances"
-            )
-        return "process"
-    # every faulted run forces the DES (faults have no analytic model), so
-    # chaos blocks hold the GIL for their whole duration: processes win
-    # whenever they are possible at all — except on a 1-2 core box or a
-    # tiny grid, where the fork + regeneration tax never amortizes
-    cores = os.cpu_count() or 1
-    if cores <= 2 or len(apps) * len(engines) < 3:
-        return "thread"
-    return "process" if speccable else "thread"
-
-
 def run_chaos(
     quick: bool = False,
     seed: int = 7,
@@ -258,16 +184,15 @@ def run_chaos(
     Both scales include the unified-memory engine, so every fault primitive
     is also exercised against the demand-paging migration path.
 
-    ``jobs > 1`` fans the per-(app, engine) blocks across an executor —
-    ``backend="process"`` (a :class:`~concurrent.futures.ProcessPoolExecutor`
-    fed picklable specs, the default under ``"auto"`` since faulted runs
-    are DES-bound), or ``backend="thread"`` (shares live instances, works
-    for custom apps/engines). Cells are merged in the serial nesting order,
-    so ``report.fingerprint()`` is backend-invariant.
+    ``jobs``/``backend`` fan the clean and faulted runs out through
+    :func:`repro.bench.jobs.run_grid`; the oracle runs here on this
+    process's own dataset instance (an oracle must not share a functional
+    memo with the runs it checks). Cells are graded in the serial nesting
+    order, so ``report.fingerprint()`` is backend-invariant.
 
     ``serve=True`` routes every faulted run through a live
-    :class:`~repro.serve.Server` (``jobs``/``backend`` are ignored — the
-    server under test runs in-process) and must produce the identical
+    :class:`~repro.serve.Server` (``jobs``/``backend`` are only validated
+    — the server under test runs in-process) and must produce the identical
     fingerprint: fault containment has to survive the batching layer.
     """
     data_bytes = data_bytes or (1 * MiB if quick else 4 * MiB)
@@ -284,58 +209,36 @@ def run_chaos(
     )
     plans = tuple(plans) if plans is not None else default_fault_grid(seed)
 
-    from repro.bench.sweep import BACKENDS
-
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-
     report = FaultReport(seed=seed)
-    blocks = [(app, engine) for app in apps for engine in engines]
     if serve:
-        for app, engine in blocks:
-            report.cells.extend(
-                _serve_cell_block(app, engine, plans, config, seed, data_bytes)
-            )
-        return report
-    if jobs > 1 and len(blocks) > 1:
-        resolved = _resolve_backend(backend, jobs, apps, engines)
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        workers = min(jobs, len(blocks))
-        if resolved == "process":
-            from repro.bench.jobs import engine_to_spec
-
-            tasks = [
-                (app.name, engine_to_spec(engine), plans, config, seed,
-                 data_bytes)
-                for app, engine in blocks
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                # executor.map preserves submission order: blocks come back
-                # in the serial nesting order regardless of finish order
-                for cells in ex.map(_cell_block_spec, tasks):
-                    report.cells.extend(cells)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for cells in ex.map(
-                    lambda b: _cell_block(
-                        b[0], b[1], plans, config, seed, data_bytes
-                    ),
-                    blocks,
-                ):
-                    report.cells.extend(cells)
+        choose_backend((), jobs, backend)  # validates the name only
+        for app in apps:
+            for engine in engines:
+                report.cells.extend(
+                    _serve_cell_block(app, engine, plans, config, seed, data_bytes)
+                )
         return report
 
     oracle = CpuSerialEngine()
+    blocks, runs = [], []
     for app in apps:
         data = app.generate(n_bytes=data_bytes, seed=seed)
         ref = oracle.run(app, data, config)
         for engine in engines:
-            clean = engine.run(app, data, config)
-            for plan in plans:
-                report.cells.append(
-                    _evaluate_cell(app, data, ref, engine, clean, plan, config)
+            blocks.append((app, ref, engine))
+            runs.append((engine, app, data, config))
+            runs.extend(
+                (engine, app, data, config.with_(faults=plan)) for plan in plans
+            )
+    outcomes = iter(run_grid(runs, jobs, backend))
+    for app, ref, engine in blocks:
+        clean = next(outcomes)
+        if isinstance(clean, ReproError):
+            raise clean
+        for plan in plans:
+            report.cells.append(
+                _judge_outcome(
+                    app, ref, engine.name, clean, plan, config, next(outcomes)
                 )
+            )
     return report

@@ -66,7 +66,7 @@ from repro.bench.jobs import (
     engine_from_spec,
     run_jobspec,
 )
-from repro.bench.sweep import DiskCache, RunCache, content_run_key
+from repro.bench.sweep import DiskCache, RunCache
 from repro.engines.base import Engine, RunResult
 from repro.errors import ReproError, SloViolationError
 from repro.serve.batcher import Batch, batch_key, coalesce, unique_key
@@ -618,9 +618,7 @@ class Server:
             key = disk_key = None
             hit = None
             if self.cache is not None:
-                key = RunCache.key(engine, app, data, job.config)
-                if self.cache.disk is not None and self.cache.disk.enabled:
-                    disk_key = content_run_key(engine, app, data, job.config)
+                key, disk_key = self.cache.keys(engine, app, data, job.config)
                 hit = self.cache.get(key, disk_key)
             if hit is not None:
                 for req in reqs:

@@ -1,9 +1,11 @@
 """Backend equivalence and persistent-cache tests.
 
-The contract under test: a sweep or chaos run produces *identical* results
-— point order, tie-broken winner, report fingerprint — whether it ran
-serial, on a thread pool, or across a process pool; and the on-disk cache
-tier lets a fresh process replay a sweep with zero engine runs.
+The contract under test: every grid of engine runs — sweep, chaos, the UVM
+comparison, the multi-GPU ladder — produces *identical* results (point
+order, tie-broken winner, report fingerprint, per-cell times and bytes)
+whether it ran serial, on a thread pool, or across a process pool, under
+one backend rule; and the on-disk cache tier lets a fresh process replay
+a sweep with zero engine runs.
 """
 
 import json
@@ -19,18 +21,22 @@ from repro.apps import get_app
 from repro.apps.base import AppData, data_fingerprint, dataset_key
 from repro.bench.jobs import (
     JobSpec,
+    choose_backend,
     dataset_spec,
     engine_from_spec,
     engine_to_spec,
     run_jobspec,
 )
+from repro.bench.multigpu import run_multigpu_scaling
 from repro.bench.sweep import RunCache, sweep
+from repro.bench.uvm import run_uvm_comparison
 from repro.engines import (
     BigKernelEngine,
     BigKernelFeatures,
     CpuMtEngine,
     EngineConfig,
     GpuDoubleBufferEngine,
+    GpuUvmEngine,
 )
 from repro.errors import ReproError
 from repro.faults.chaos import default_fault_grid, run_chaos
@@ -323,64 +329,149 @@ class TestDiskCacheAcrossProcesses:
 
 
 class TestAutoBackendHeuristic:
-    """backend="auto" must not pick processes where they cannot win:
-    1-2 core boxes and tiny grids (BENCH_pipeline.json once recorded the
-    process backend at 0.35x on a 1-core runner)."""
+    """The one backend rule every grid shares (``repro.bench.jobs.
+    choose_backend``). backend="auto" must not pick processes where they
+    cannot win: 1-2 core boxes and tiny grids (BENCH_pipeline.json once
+    recorded the process backend at 0.35x on a 1-core runner)."""
 
-    def _sweep_resolve(self, monkeypatch, cores, **kwargs):
-        from repro.bench.sweep import _resolve_backend
-
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    @pytest.fixture(scope="class")
+    def workload(self):
         app = get_app("kmeans")
-        data = app.generate(n_bytes=1 * MiB, seed=3)
-        defaults = dict(
-            backend="auto",
-            engine=BigKernelEngine(),
-            app=app,
-            data=data,
-            config=EngineConfig(fastpath=False),  # DES-bound
-            jobs=4,
-            n_points=8,
-        )
-        defaults.update(kwargs)
-        return _resolve_backend(**defaults)
+        return app, app.generate(n_bytes=1 * MiB, seed=3)
 
-    def test_sweep_auto_prefers_process_when_parallel_pays(self, monkeypatch):
-        assert self._sweep_resolve(monkeypatch, cores=8) == "process"
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_sweep_auto_prefers_thread_on_small_boxes(self, monkeypatch, cores):
-        assert self._sweep_resolve(monkeypatch, cores=cores) == "thread"
-
-    def test_sweep_auto_prefers_thread_on_tiny_grids(self, monkeypatch):
-        assert self._sweep_resolve(monkeypatch, cores=8, n_points=2) == "thread"
-
-    def test_sweep_explicit_process_honored_on_small_boxes(self, monkeypatch):
-        assert (
-            self._sweep_resolve(monkeypatch, cores=1, backend="process")
-            == "process"
-        )
-
-    def _chaos_resolve(self, monkeypatch, cores, backend="auto", n_apps=2):
-        from repro.faults.chaos import _resolve_backend
-
+    def _choose(self, monkeypatch, workload, cores, backend="auto",
+                n_runs=8, engine=None, config=None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        apps = [get_app("kmeans"), get_app("wordcount")][:n_apps]
-        engines = [BigKernelEngine(), GpuDoubleBufferEngine()]
-        return _resolve_backend(backend, jobs=4, apps=apps, engines=engines)
+        app, data = workload
+        engine = engine or BigKernelEngine()
+        config = config or EngineConfig(fastpath=False)  # DES-bound
+        runs = [
+            (engine, app, data, config.with_(num_blocks=8 + i))
+            for i in range(n_runs)
+        ]
+        return choose_backend(runs, jobs=4, backend=backend)
 
-    def test_chaos_auto_prefers_process_when_parallel_pays(self, monkeypatch):
-        assert self._chaos_resolve(monkeypatch, cores=8) == "process"
+    def test_sweep_auto_prefers_process_when_parallel_pays(
+        self, monkeypatch, workload
+    ):
+        assert self._choose(monkeypatch, workload, cores=8) == "process"
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_chaos_auto_prefers_thread_on_small_boxes(self, monkeypatch, cores):
-        assert self._chaos_resolve(monkeypatch, cores=cores) == "thread"
+    def test_sweep_auto_prefers_thread_on_small_boxes(
+        self, monkeypatch, workload, cores
+    ):
+        assert self._choose(monkeypatch, workload, cores=cores) == "thread"
 
-    def test_chaos_auto_prefers_thread_on_tiny_grids(self, monkeypatch):
-        assert self._chaos_resolve(monkeypatch, cores=8, n_apps=1) == "thread"
-
-    def test_chaos_explicit_process_honored_on_small_boxes(self, monkeypatch):
+    def test_sweep_auto_prefers_thread_on_tiny_grids(self, monkeypatch, workload):
         assert (
-            self._chaos_resolve(monkeypatch, cores=2, backend="process")
+            self._choose(monkeypatch, workload, cores=8, n_runs=2) == "thread"
+        )
+
+    def test_sweep_explicit_process_honored_on_small_boxes(
+        self, monkeypatch, workload
+    ):
+        assert (
+            self._choose(monkeypatch, workload, cores=1, backend="process")
             == "process"
         )
+
+    def test_process_rejects_runs_without_a_spec(self, monkeypatch, workload):
+        class Custom(BigKernelEngine):
+            name = "custom"
+
+        with pytest.raises(ReproError):
+            self._choose(monkeypatch, workload, cores=8, backend="process",
+                         engine=Custom())
+        # auto falls back to threads for the same grid
+        assert (
+            self._choose(monkeypatch, workload, cores=8, engine=Custom())
+            == "thread"
+        )
+
+    @pytest.mark.parametrize(
+        "engine,config,expected",
+        [
+            (BigKernelEngine, EngineConfig(), "thread"),  # kmeans: fast path
+            (GpuUvmEngine, EngineConfig(), "process"),  # UVM is always DES
+        ],
+    )
+    def test_auto_follows_des_bound_runs(
+        self, monkeypatch, engine, config, expected
+    ):
+        app = get_app("wordcount")  # no mapped writes
+        data = app.generate(n_bytes=1 * MiB, seed=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        runs = [(engine(), app, data, config.with_(num_blocks=8 + i))
+                for i in range(4)]
+        assert choose_backend(runs, jobs=4) == expected
+
+    def test_serial_path_never_builds_specs(self, monkeypatch, workload):
+        """jobs=1 and backend="thread" run in process without probing the
+        CPU count or building job specs (the tuning hot path)."""
+        import repro.bench.jobs as jobs_mod
+
+        def boom(*_args):
+            raise AssertionError("serial path probed the box")
+
+        monkeypatch.setattr(os, "cpu_count", boom)
+        monkeypatch.setattr(jobs_mod, "dataset_spec", boom)
+        app, data = workload
+        runs = [(BigKernelEngine(), app, data, EngineConfig())] * 4
+        assert choose_backend(runs, jobs=1) == "thread"
+        assert choose_backend(runs, jobs=4, backend="thread") == "thread"
+
+
+class TestGridBackendEquivalence:
+    """The UVM comparison and the multi-GPU ladder give the same cells
+    serially, on threads and on a process pool."""
+
+    @staticmethod
+    def _cells(grid):
+        return {
+            key: (res.sim_time, res.metrics.bytes_h2d, res.metrics.bytes_d2h)
+            for key, res in grid.results.items()
+        }
+
+    @pytest.mark.parametrize("which", ["uvm", "multigpu"])
+    def test_backends_agree(self, which):
+        if which == "uvm":
+            def run(**kw):
+                return run_uvm_comparison(
+                    data_bytes=1 * MiB, seed=4, apps=("kmeans",), **kw
+                )
+        else:
+            def run(**kw):
+                return run_multigpu_scaling(
+                    data_bytes=1 * MiB, seed=4, apps=("kmeans",),
+                    gpu_counts=(1, 2), predict=False, **kw
+                )
+        serial = self._cells(run())
+        thread = self._cells(run(jobs=2, backend="thread"))
+        proc = self._cells(run(jobs=2, backend="process"))
+        assert serial == thread == proc
+        assert len(serial) == (4 if which == "uvm" else 2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: sweep(
+                BigKernelEngine(), get_app("kmeans"),
+                get_app("kmeans").generate(n_bytes=1 * MiB, seed=3),
+                EngineConfig(), {"num_blocks": [8, 16]}, jobs=1,
+                backend="bogus",
+            ),
+            lambda: run_chaos(quick=True, jobs=1, backend="bogus"),
+            lambda: run_chaos(quick=True, jobs=1, backend="bogus", serve=True),
+            lambda: run_uvm_comparison(
+                data_bytes=1 * MiB, apps=("kmeans",), jobs=1, backend="bogus"
+            ),
+            lambda: run_multigpu_scaling(
+                data_bytes=1 * MiB, apps=("kmeans",), gpu_counts=(1, 2),
+                jobs=1, backend="bogus",
+            ),
+        ],
+        ids=["sweep", "chaos", "chaos-serve", "uvm", "multigpu"],
+    )
+    def test_unknown_backend_rejected_at_jobs_1(self, entry):
+        with pytest.raises(ReproError, match="unknown backend"):
+            entry()

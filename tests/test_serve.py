@@ -325,6 +325,22 @@ def test_serve_pillar_fails_without_cache_hits():
     assert [c.name for c in report.mismatches] == ["open:run-cache"]
 
 
+def test_serve_pillar_fails_on_an_empty_clean_phase():
+    """A trace with no requests completes nothing, so the SLO phase has no
+    service time to size its SLO from: the pillar reports one failed cell
+    instead of raising, and skips that phase."""
+    from repro.serve import TraceSpec, generate_trace
+    from repro.verify import run_serve_differential
+
+    assert generate_trace(TraceSpec(seed=5, duration=0.05, rate=20.0)) == []
+    report = run_serve_differential(
+        data_bytes=64 * KiB, seed=5, duration=0.05, rate=20.0
+    )
+    assert not report.ok
+    assert [c.name for c in report.cells] == ["open:completed"]
+    assert "completed nothing" in report.cells[0].detail
+
+
 def test_served_result_check_is_bit_exact():
     """``repro serve --verify`` and the serve pillar share one check with
     no tolerance: a netflix output 1e-12 off fails it, although netflix's
